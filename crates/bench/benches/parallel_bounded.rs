@@ -3,8 +3,8 @@
 //!
 //! Benchmarks `BoundedChecker` over the Chapter-4 valid-formula catalogue in
 //! both modes — the PR 1 baseline (`counterexample_interned`, one thread) and
-//! the sharded worker-pool sweep (`counterexample_parallel` at
-//! `Parallelism::Fixed(4)`) — and records per-schema means, the speedup, and
+//! the sharded worker-pool sweep (`sweep_budgeted` under an unbounded budget
+//! at `Parallelism::Fixed(4)`) — and records per-schema means, the speedup, and
 //! the machine's hardware thread count in `BENCH_PR2.json` at the workspace
 //! root.  Worker verdicts are bit-identical to sequential ones (asserted
 //! before timing), so the comparison is pure engine overhead/speedup.
@@ -15,9 +15,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use criterion::{BenchResult, Criterion};
-use ilogic_core::arena::FormulaArena;
+use ilogic_core::arena::{FormulaArena, FormulaId};
 use ilogic_core::bounded::BoundedChecker;
-use ilogic_core::pool::Parallelism;
+use ilogic_core::pool::{Parallelism, ResourceBudget};
+use ilogic_core::trace::Trace;
 use ilogic_core::valid;
 
 /// Schemas representative of the catalogue's cost spectrum (same set as the
@@ -26,6 +27,18 @@ const SCHEMAS: &[&str] = &["V1", "V5", "V9", "V13", "V15"];
 
 /// Workers in the parallel mode.
 const WORKERS: usize = 4;
+
+/// The sharded sweep's counterexample, under an unbounded budget.
+fn sharded(
+    checker: &BoundedChecker,
+    arena: &FormulaArena,
+    id: FormulaId,
+    workers: usize,
+) -> Option<Trace> {
+    let unbounded = ResourceBudget::unbounded();
+    let sweep = checker.sweep_budgeted(arena, id, None, Parallelism::Fixed(workers), &unbounded);
+    sweep.counterexample.map(|(_, trace)| trace)
+}
 
 fn bench_catalogue(c: &mut Criterion) {
     // One state deeper than the PR 1 experiment: per-shard work has to dwarf
@@ -57,7 +70,7 @@ fn bench_catalogue(c: &mut Criterion) {
         let mut arena = FormulaArena::new();
         let id = arena.intern(formula);
         group.bench_function(*name, |b| {
-            b.iter(|| checker.counterexample_parallel(&arena, id, Parallelism::Fixed(1)).is_none());
+            b.iter(|| sharded(&checker, &arena, id, 1).is_none());
         });
     }
     group.finish();
@@ -71,14 +84,12 @@ fn bench_catalogue(c: &mut Criterion) {
         let id = arena.intern(formula);
         // Bit-identical verdicts are part of the experiment's contract.
         assert_eq!(
-            checker.counterexample_parallel(&arena, id, Parallelism::Fixed(WORKERS)),
+            sharded(&checker, &arena, id, WORKERS),
             checker.counterexample_interned(&arena, id),
             "{name}: parallel verdict diverged"
         );
         group.bench_function(*name, |b| {
-            b.iter(|| {
-                checker.counterexample_parallel(&arena, id, Parallelism::Fixed(WORKERS)).is_none()
-            });
+            b.iter(|| sharded(&checker, &arena, id, WORKERS).is_none());
         });
     }
     group.finish();

@@ -21,15 +21,14 @@
 //! computations whose global index is `≡ i (mod n)` — so `n` workers sweep
 //! disjoint slices of the same search space.  Combined with the
 //! lowest-global-index-wins cancellation of [`crate::pool::Earliest`],
-//! [`BoundedChecker::counterexample_parallel`] returns *bit-identical*
-//! verdicts to the sequential sweep: the same `Option<Trace>`, the very same
-//! counterexample.
+//! [`BoundedChecker::sweep_budgeted`] returns *bit-identical* verdicts to
+//! the sequential sweep at every worker count: the same `Option<Trace>`, the
+//! very same counterexample.
 
 use crate::arena::{ArenaRead, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
 use crate::pool::{
     Earliest, Exhaustion, Parallelism, ResourceBudget, WorkerPool, INTERRUPT_POLL_PERIOD,
 };
-use crate::semantics::Evaluator;
 use crate::state::{Prop, State};
 use crate::syntax::Formula;
 use crate::trace::Trace;
@@ -146,30 +145,9 @@ impl BoundedChecker {
         found
     }
 
-    /// [`BoundedChecker::counterexample`] over the boxed AST without interning
-    /// or memoization.  Kept as the reference implementation and as the
-    /// baseline of the arena-vs-boxed benchmark; prefer the default path.
-    pub fn counterexample_boxed(&self, formula: &Formula) -> Option<Trace> {
-        let mut found = None;
-        self.for_each_trace(|trace| {
-            if !Evaluator::new(trace).check(formula) {
-                found = Some(trace.clone());
-                false
-            } else {
-                true
-            }
-        });
-        found
-    }
-
     /// `true` if no computation within the bound falsifies `formula`.
     pub fn valid_up_to_bound(&self, formula: &Formula) -> bool {
         self.counterexample(formula).is_none()
-    }
-
-    /// `true` if no computation within the bound falsifies the interned formula.
-    pub fn valid_up_to_bound_interned(&self, arena: &FormulaArena, formula: FormulaId) -> bool {
-        self.counterexample_interned(arena, formula).is_none()
     }
 
     /// Searches for a computation (within the bound) that satisfies `formula`.
@@ -177,11 +155,15 @@ impl BoundedChecker {
         self.counterexample(&formula.clone().not())
     }
 
-    /// Sharded parallel counterexample search: `parallelism` workers sweep
-    /// disjoint interleaved slices of the enumeration, each with a private
-    /// [`MemoEvaluator`] over `arena` (typically an
-    /// [`crate::arena::ArenaSnapshot`]), with early-exit cancellation once a
-    /// counterexample is found.
+    /// Sharded parallel counterexample search under a [`ResourceBudget`]:
+    /// `parallelism` workers sweep disjoint interleaved slices of the
+    /// enumeration, each with a private [`MemoEvaluator`] over `arena`
+    /// (typically an [`crate::arena::ArenaSnapshot`]), with early-exit
+    /// cancellation once a counterexample is found.  Only computations with
+    /// global enumeration index below `budget.max_enumeration()` are
+    /// examined, and the deadline/cancellation cutoffs are polled every few
+    /// hundred computations per worker; pass [`ResourceBudget::unbounded`]
+    /// for the full sweep.
     ///
     /// The verdict is **bit-identical** to the sequential sweep: among all
     /// counterexamples found, the one with the lowest global enumeration index
@@ -190,23 +172,6 @@ impl BoundedChecker {
     /// [`ParallelSweep::traces_checked`] counts every computation any worker
     /// examined, which can exceed the sequential count while the cancellation
     /// signal propagates.
-    pub fn sweep_parallel<A>(
-        &self,
-        arena: &A,
-        formula: FormulaId,
-        domain: Option<&[crate::value::Value]>,
-        parallelism: Parallelism,
-    ) -> ParallelSweep
-    where
-        A: ArenaRead + Sync,
-    {
-        self.sweep_budgeted(arena, formula, domain, parallelism, &ResourceBudget::unbounded())
-    }
-
-    /// [`BoundedChecker::sweep_parallel`] under a [`ResourceBudget`]: only
-    /// computations with global enumeration index below
-    /// `budget.max_enumeration()` are examined, and the deadline/cancellation
-    /// cutoffs are polled every few hundred computations per worker.
     ///
     /// The enumeration cap is deterministic — the swept prefix is the same at
     /// every worker count, so verdicts under it stay bit-identical to the
@@ -311,24 +276,9 @@ impl BoundedChecker {
         }
         sweep
     }
-
-    /// [`BoundedChecker::counterexample`] fanned across a worker pool; the
-    /// returned counterexample is identical to the sequential one.
-    pub fn counterexample_parallel(
-        &self,
-        arena: &FormulaArena,
-        formula: FormulaId,
-        parallelism: Parallelism,
-    ) -> Option<Trace> {
-        let snapshot = arena.snapshot();
-        self.sweep_parallel(&snapshot, formula, None, parallelism)
-            .counterexample
-            .map(|(_, trace)| trace)
-    }
 }
 
-/// The merged outcome of a [`BoundedChecker::sweep_parallel`] /
-/// [`BoundedChecker::sweep_budgeted`] search.
+/// The merged outcome of a [`BoundedChecker::sweep_budgeted`] search.
 #[derive(Clone, Debug)]
 pub struct ParallelSweep {
     /// The counterexample with the lowest global enumeration index, if any —
@@ -425,6 +375,7 @@ impl TraceShard<'_> {
 mod tests {
     use super::*;
     use crate::dsl::*;
+    use crate::semantics::Evaluator;
 
     #[test]
     fn tautologies_have_no_counterexample() {
@@ -530,8 +481,16 @@ mod tests {
             let id = arena.intern(formula);
             let sequential = checker.counterexample_interned(&arena, id);
             for workers in 1..=4 {
-                let parallel =
-                    checker.counterexample_parallel(&arena, id, Parallelism::Fixed(workers));
+                let parallel = checker
+                    .sweep_budgeted(
+                        &arena,
+                        id,
+                        None,
+                        Parallelism::Fixed(workers),
+                        &ResourceBudget::unbounded(),
+                    )
+                    .counterexample
+                    .map(|(_, trace)| trace);
                 assert_eq!(
                     parallel, sequential,
                     "parallel({workers}) and sequential verdicts differ on {formula}"
@@ -583,7 +542,13 @@ mod tests {
         let id = arena.intern(&not_p);
         // The first counterexample of ¬P sits at global index 2 (the first
         // word with P asserted).
-        let full = checker.sweep_parallel(&arena, id, None, Parallelism::Off);
+        let full = checker.sweep_budgeted(
+            &arena,
+            id,
+            None,
+            Parallelism::Off,
+            &ResourceBudget::unbounded(),
+        );
         assert_eq!(full.counterexample.as_ref().map(|(i, _)| *i), Some(2));
         assert_eq!(full.exhausted, None);
         for workers in 1..=4 {

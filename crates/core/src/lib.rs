@@ -110,8 +110,8 @@ pub mod prelude {
     pub use crate::scheduler::{JobHandle, JobId};
     pub use crate::semantics::{holds, Dir, Env, Evaluator};
     pub use crate::session::{
-        Backend, CacheStats, CheckHandle, CheckReport, CheckRequest, CheckStats, ErrorReport,
-        InternHandle, RunSource, Session, Verdict,
+        Backend, CacheStats, CheckReport, CheckRequest, CheckStats, ErrorReport, RunSource,
+        Session, Verdict,
     };
     pub use crate::spec::{CheckOutcome, Spec, SpecReport};
     pub use crate::state::{Prop, State};

@@ -49,15 +49,14 @@
 //! # Concurrency
 //!
 //! Every dispatch method takes `&self`: a `Session` is `Sync`, and threads
-//! sharing one (directly, or through the split [`Session::interner`] /
-//! [`Session::checker`] handles) may intern, check, submit, and wait
+//! sharing one by reference may intern, check, submit, and wait
 //! concurrently.  Backends never run under the session's locks — each check
 //! executes over an O(1) [`crate::arena::ArenaSnapshot`] of the arena
 //! version it was prepared against, so submitting new work (which interns)
-//! proceeds while earlier jobs are still running on older versions.  Only
-//! the configuration setters ([`Session::set_parallelism`],
-//! [`Session::set_budget`], [`Session::set_preflight`],
-//! [`Session::set_verdict_cache`]) still take `&mut self`: configuration is
+//! proceeds while earlier jobs are still running on older versions.
+//! Configuration is set once, by the consuming builders
+//! ([`Session::with_parallelism`], [`Session::with_budget`],
+//! [`Session::with_preflight`], [`Session::with_verdict_cache`]), so it is
 //! fixed while a session is shared.
 //!
 //! # The verdict cache
@@ -72,15 +71,15 @@
 //! explicit quantifier domains, budgets carrying a cancellation token, and
 //! requests whose deadline has already expired.  Outcomes cut by a deadline
 //! or a cancellation are never stored.  [`Session::cumulative_cache`]
-//! exposes the running hit/miss tally; [`Session::set_verdict_cache`] turns
-//! the cache off for A/B comparisons.
+//! exposes the running hit/miss tally; [`Session::with_verdict_cache`]
+//! turns the cache off for A/B comparisons.
 //!
 //! # Resource control
 //!
 //! Every cutoff — tableau size, condition-DNF implicants, enumeration depth,
 //! wall-clock deadline, cooperative cancellation — is one type:
 //! [`ResourceBudget`], attached per request with [`CheckRequest::with_budget`]
-//! or per session with [`Session::set_budget`].  A check that runs out of any
+//! or per session with [`Session::with_budget`].  A check that runs out of any
 //! resource answers `Verdict::Unknown { exhausted: Some(…) }` uniformly,
 //! whatever backend it ran on.
 //!
@@ -101,8 +100,8 @@ use ilogic_temporal::theory::PropositionalTheory;
 pub use ilogic_temporal::dnf::store::StoreStats as ConditionStats;
 
 use crate::analysis::{self, Analysis, CostEstimate, Diagnostic, DiagnosticCode};
-use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
-use crate::bounded::BoundedChecker;
+use crate::arena::{ArenaRead, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
+use crate::bounded::{BoundedChecker, ParallelSweep};
 use crate::json::{Json, JsonError};
 use crate::ltl_translate::to_ltl;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
@@ -335,7 +334,7 @@ impl CheckRequest {
     /// worker discovering the same thing.  Off by default, because admission
     /// also rejects jobs an engine would have *partially* answered (a sweep
     /// cut mid-way still examines real computations).  A session-wide switch
-    /// is [`Session::set_preflight`].
+    /// is [`Session::with_preflight`].
     pub fn with_preflight(mut self) -> CheckRequest {
         self.preflight = true;
         self
@@ -359,7 +358,7 @@ impl CheckRequest {
     /// `Decide`, the enumeration cap for `Bounded`/`Explore` and the
     /// refutation sweep, plus the wall-clock deadline and cancellation token
     /// honoured by all of them.  When not set, the session default
-    /// ([`Session::set_budget`]) and then [`ResourceBudget::default`] apply.
+    /// ([`Session::with_budget`]) and then [`ResourceBudget::default`] apply.
     ///
     /// Running out of any resource yields
     /// `Verdict::Unknown { exhausted: Some(…) }`; a budget can never flip a
@@ -1263,7 +1262,7 @@ struct SessionState {
     cumulative: MemoStats,
     cumulative_condition: ConditionStats,
     cumulative_cache: CacheStats,
-    verdicts: HashMap<CacheKey, CachedOutcome>,
+    verdicts: HashMap<CacheKey, JobOutcome>,
 }
 
 /// The job queue: pending submissions, ids currently being driven by some
@@ -1319,52 +1318,13 @@ struct CacheKey {
     workers: usize,
 }
 
-/// A stored backend outcome: every deterministic field of a [`JobOutcome`]
-/// (the wall-clock duration is supplied per replay).
-#[derive(Clone, Debug)]
-struct CachedOutcome {
-    verdict: Verdict,
-    traces_checked: usize,
-    memo: MemoStats,
-    condition: ConditionStats,
-    workers: usize,
-    failing_index: Option<usize>,
-}
-
-impl CachedOutcome {
-    fn of(outcome: &JobOutcome) -> CachedOutcome {
-        CachedOutcome {
-            verdict: outcome.verdict.clone(),
-            traces_checked: outcome.traces_checked,
-            memo: outcome.memo,
-            condition: outcome.condition,
-            workers: outcome.workers,
-            failing_index: outcome.failing_index,
-        }
-    }
-
-    /// Rebuilds the outcome a fresh run would have produced, so `finalize`
-    /// replays the cumulative-counter merges exactly as recomputation would.
-    fn replay(&self, duration: Duration) -> JobOutcome {
-        JobOutcome {
-            verdict: self.verdict.clone(),
-            traces_checked: self.traces_checked,
-            memo: self.memo,
-            condition: self.condition,
-            workers: self.workers,
-            failing_index: self.failing_index,
-            duration,
-        }
-    }
-}
-
 /// What the verdict cache decided about one prepared job.
 #[derive(Clone, Debug)]
 enum CachePlan {
     /// The request is uncacheable: run it, store nothing, count nothing.
     Bypass,
     /// Found in the session cache: replay the stored outcome, no backend.
-    Hit(CachedOutcome),
+    Hit(JobOutcome),
     /// Cacheable but absent: execute, then store under this key at finalize
     /// time (unless the run was cut by a deadline or a cancellation — those
     /// outcomes are timing-dependent and must never be replayed).
@@ -1390,7 +1350,7 @@ const VERDICT_CACHE_CAP: usize = 1 << 16;
 ///
 /// Checks fan out across a worker pool when parallelism is enabled — per
 /// request ([`CheckRequest::with_parallelism`]), per session
-/// ([`Session::set_parallelism`]), or for a whole process via the
+/// ([`Session::with_parallelism`]), or for a whole process via the
 /// `ILOGIC_TEST_PARALLEL` environment variable.  Worker evaluation is
 /// shared-nothing over an [`crate::arena::ArenaSnapshot`]; verdicts are
 /// bit-identical to the single-threaded path.
@@ -1447,73 +1407,37 @@ impl Session {
         ArenaRef(lock(&self.state))
     }
 
-    /// The interning half of this session: a `Copy` handle exposing only
-    /// [`Session::intern`] / [`Session::extract`] / the arena version, for
-    /// threads that grow the formula store while others run checks.
-    pub fn interner(&self) -> InternHandle<'_> {
-        InternHandle { session: self }
-    }
-
-    /// The checking half of this session: a `Copy` handle exposing only the
-    /// dispatch surface (`check`, `submit`, `wait`, …), for worker threads
-    /// that must not reconfigure the session.
-    pub fn checker(&self) -> CheckHandle<'_> {
-        CheckHandle { session: self }
-    }
-
     /// Sets the parallelism used by requests that don't choose their own (and
-    /// by [`Session::check_spec`]).  Builder-style variant:
-    /// [`Session::with_parallelism`].
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.default_parallelism = Some(parallelism);
-    }
-
-    /// [`Session::set_parallelism`], builder-style.
+    /// by [`Session::check_spec`]).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Session {
-        self.set_parallelism(parallelism);
+        self.default_parallelism = Some(parallelism);
         self
     }
 
     /// Sets the [`ResourceBudget`] used by requests that don't attach their
     /// own ([`CheckRequest::with_budget`]); the fallback is
-    /// [`ResourceBudget::default`].  Builder-style variant:
-    /// [`Session::with_budget`].
-    pub fn set_budget(&mut self, budget: ResourceBudget) {
-        self.default_budget = Some(budget);
-    }
-
-    /// [`Session::set_budget`], builder-style.
+    /// [`ResourceBudget::default`].
     pub fn with_budget(mut self, budget: ResourceBudget) -> Session {
-        self.set_budget(budget);
+        self.default_budget = Some(budget);
         self
     }
 
-    /// Turns pre-flight admission on (or off) for every request this session
-    /// runs: jobs whose predicted cost exceeds their budget answer
+    /// Turns pre-flight admission on for every request this session runs:
+    /// jobs whose predicted cost exceeds their budget answer
     /// `Unknown { exhausted }` immediately, with a `C002` diagnostic in the
     /// report, instead of occupying a worker until the budget trips at run
     /// time.  Off by default; a single request opts in with
     /// [`CheckRequest::with_preflight`].
-    pub fn set_preflight(&mut self, on: bool) {
-        self.preflight = on;
-    }
-
-    /// [`Session::set_preflight`], builder-style.
     pub fn with_preflight(mut self) -> Session {
-        self.set_preflight(true);
+        self.preflight = true;
         self
     }
 
     /// Turns the cross-request verdict cache off (or back on).  On by
     /// default; turning it off makes every request run its backend, which is
     /// what the differential fuzzer compares cached sessions against.
-    pub fn set_verdict_cache(&mut self, on: bool) {
-        self.cache_enabled = on;
-    }
-
-    /// [`Session::set_verdict_cache`], builder-style.
     pub fn with_verdict_cache(mut self, on: bool) -> Session {
-        self.set_verdict_cache(on);
+        self.cache_enabled = on;
         self
     }
 
@@ -1714,7 +1638,7 @@ impl Session {
                     }
                 );
                 if !timing_cut && state.verdicts.len() < VERDICT_CACHE_CAP {
-                    state.verdicts.insert(key.clone(), CachedOutcome::of(&outcome));
+                    state.verdicts.insert(key.clone(), outcome.clone());
                 }
                 CacheStats { hits: 0, misses: 1 }
             }
@@ -1965,20 +1889,6 @@ impl Session {
         handles.iter().map(|handle| self.wait(handle)).collect()
     }
 
-    /// Deprecated `&mut` shim for [`Session::submit`], kept for one release:
-    /// `submit` now takes `&self`, so call it directly.
-    #[deprecated(since = "0.1.0", note = "Session::submit now takes &self; call it directly")]
-    pub fn submit_mut(&mut self, request: CheckRequest) -> JobHandle {
-        self.submit(request)
-    }
-
-    /// Deprecated `&mut` shim for [`Session::check_many`], kept for one
-    /// release: `check_many` now takes `&self`, so call it directly.
-    #[deprecated(since = "0.1.0", note = "Session::check_many now takes &self; call it directly")]
-    pub fn check_many_mut(&mut self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
-        self.check_many(requests)
-    }
-
     /// Checks every clause of a specification against a trace through the
     /// session arena, producing the familiar [`SpecReport`].
     ///
@@ -2050,99 +1960,6 @@ impl Session {
     }
 }
 
-/// The interning half of a [`Session`], from [`Session::interner`]: a
-/// `Copy` handle that can only grow (and read back) the formula store —
-/// hand it to producer threads that mint ids while consumer threads check.
-///
-/// ```
-/// use ilogic_core::dsl::*;
-/// use ilogic_core::session::Session;
-///
-/// let session = Session::new();
-/// let interner = session.interner();
-/// let id = interner.intern(&prop("P").or(prop("P").not()));
-/// assert_eq!(interner.extract(id), prop("P").or(prop("P").not()));
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct InternHandle<'s> {
-    session: &'s Session,
-}
-
-impl InternHandle<'_> {
-    /// See [`Session::intern`].
-    pub fn intern(&self, formula: &Formula) -> FormulaId {
-        self.session.intern(formula)
-    }
-
-    /// See [`Session::extract`].
-    pub fn extract(&self, id: FormulaId) -> Formula {
-        self.session.extract(id)
-    }
-
-    /// The arena version covering everything interned so far: ids below it
-    /// are visible to every [`crate::arena::ArenaSnapshot`] taken from now
-    /// on (see [`FormulaArena::version`]).
-    pub fn version(&self) -> ArenaVersion {
-        self.session.arena().version()
-    }
-}
-
-/// The checking half of a [`Session`], from [`Session::checker`]: a `Copy`
-/// handle exposing the dispatch surface and the cumulative counters, but
-/// not the `&mut self` configuration setters — hand it to worker threads
-/// that must not reconfigure the session they share.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckHandle<'s> {
-    session: &'s Session,
-}
-
-impl CheckHandle<'_> {
-    /// See [`Session::check`].
-    pub fn check(&self, request: CheckRequest) -> CheckReport {
-        self.session.check(request)
-    }
-
-    /// See [`Session::submit`].
-    pub fn submit(&self, request: CheckRequest) -> JobHandle {
-        self.session.submit(request)
-    }
-
-    /// See [`Session::check_many`].
-    pub fn check_many(&self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
-        self.session.check_many(requests)
-    }
-
-    /// See [`Session::run_pending`].
-    pub fn run_pending(&self) {
-        self.session.run_pending();
-    }
-
-    /// See [`Session::wait`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the handle is foreign or already redeemed, exactly as
-    /// [`Session::wait`] does.
-    pub fn wait(&self, handle: &JobHandle) -> CheckReport {
-        self.session.wait(handle)
-    }
-
-    /// See [`Session::try_wait`].
-    pub fn try_wait(&self, handle: &JobHandle) -> Option<CheckReport> {
-        self.session.try_wait(handle)
-    }
-
-    /// See [`Session::pending_jobs`].
-    pub fn pending_jobs(&self) -> usize {
-        self.session.pending_jobs()
-    }
-
-    /// See [`Session::cumulative_cache`].
-    pub fn cumulative_cache(&self) -> CacheStats {
-        self.session.cumulative_cache()
-    }
-}
-
 /// A [`CheckRequest`] after [`Session::prepare`]: formula interned, knobs
 /// resolved, arena size recorded.  The unit of work the scheduler multiplexes.
 pub(crate) struct PreparedJob {
@@ -2166,7 +1983,10 @@ pub(crate) struct PreparedJob {
 }
 
 /// Everything a backend run produces; [`Session::finalize`] adds the
-/// session-level fields (cumulative counters, arena size).
+/// session-level fields (cumulative counters, arena size).  The verdict
+/// cache stores outcomes whole and replays them with the replay's own
+/// wall-clock duration.
+#[derive(Clone, Debug)]
 pub(crate) struct JobOutcome {
     verdict: Verdict,
     traces_checked: usize,
@@ -2179,84 +1999,100 @@ pub(crate) struct JobOutcome {
     duration: Duration,
 }
 
+impl JobOutcome {
+    /// An outcome that examined no computation: `verdict` on `workers`
+    /// workers, every counter zero.  [`execute`] stamps the duration.
+    fn new(verdict: Verdict, workers: usize) -> JobOutcome {
+        JobOutcome {
+            verdict,
+            traces_checked: 0,
+            memo: MemoStats::default(),
+            condition: ConditionStats::default(),
+            workers,
+            failing_index: None,
+            duration: Duration::ZERO,
+        }
+    }
+
+    /// The outcome of a bounded sweep: its counterexample if it found one,
+    /// otherwise `settle` applied to the sweep's exhaustion.
+    fn of_sweep(
+        sweep: ParallelSweep,
+        settle: impl FnOnce(Option<Exhaustion>) -> Verdict,
+    ) -> JobOutcome {
+        let (verdict, failing_index) = match sweep.counterexample {
+            Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
+            None => (settle(sweep.exhausted), None),
+        };
+        JobOutcome {
+            traces_checked: sweep.traces_checked,
+            memo: sweep.memo,
+            failing_index,
+            ..JobOutcome::new(verdict, sweep.workers)
+        }
+    }
+
+    /// A stored outcome replayed by a cache hit: bit-identical to a fresh
+    /// run in everything but wall-clock duration, so `finalize` replays the
+    /// cumulative-counter merges exactly as recomputation would.
+    fn replay(&self, duration: Duration) -> JobOutcome {
+        JobOutcome { duration, ..self.clone() }
+    }
+}
+
 /// Runs one prepared job against an arena view.  This is the *single*
 /// execution path behind both [`Session::check`] and the batch scheduler —
 /// which is what makes batch results bit-identical to a loop of `check`
 /// calls: there is no second implementation to diverge.
 pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobOutcome {
     let start = Instant::now();
-    if let Some(cut) = job.rejection {
+    let mut outcome = match (job.rejection, &job.backend) {
         // Pre-flight admission already refused this job at prepare time: the
         // verdict is the same `Unknown { exhausted }` the budget would have
         // produced, minus the work.
-        return JobOutcome {
-            verdict: Verdict::exhausted(cut),
-            traces_checked: 0,
-            memo: MemoStats::default(),
-            condition: ConditionStats::default(),
-            workers: 1,
-            failing_index: None,
-            duration: start.elapsed(),
-        };
-    }
-    let mut condition = ConditionStats::default();
-    let (verdict, traces_checked, memo, workers, failing_index) = match &job.backend {
-        Backend::Trace(trace) => {
+        (Some(cut), _) => JobOutcome::new(Verdict::exhausted(cut), 1),
+        (None, Backend::Trace(trace)) => {
             let mut memo = MemoEvaluator::new(arena);
             if let Some(domain) = &job.domain {
                 memo = memo.with_domain(domain.clone());
             }
             if let Some(cut) = job.budget.interrupted() {
-                (Verdict::exhausted(cut), 0, MemoStats::default(), 1, None)
-            } else if memo.check(trace, job.id) {
-                (Verdict::Holds, 1, memo.stats(), 1, None)
+                JobOutcome::new(Verdict::exhausted(cut), 1)
             } else {
-                (Verdict::Counterexample(trace.clone()), 1, memo.stats(), 1, Some(0))
+                let holds = memo.check(trace, job.id);
+                let verdict =
+                    if holds { Verdict::Holds } else { Verdict::Counterexample(trace.clone()) };
+                JobOutcome {
+                    traces_checked: 1,
+                    memo: memo.stats(),
+                    failing_index: (!holds).then_some(0),
+                    ..JobOutcome::new(verdict, 1)
+                }
             }
         }
-        Backend::Explore { runs } => {
+        (None, Backend::Explore { runs }) => {
             let pool = WorkerPool::new(job.parallelism);
-            let (verdict, checked, memo, index) =
-                drive_runs(arena, runs, job.id, job.domain.as_deref(), &pool, &job.budget);
-            (verdict, checked, memo, pool.workers(), index)
+            drive_runs(arena, runs, job.id, job.domain.as_deref(), &pool, &job.budget)
         }
-        Backend::Bounded { props, max_len, lassos } => {
-            let mut checker = BoundedChecker::new(props.clone(), *max_len);
-            if !lassos {
-                checker = checker.without_lassos();
-            }
-            let sweep = checker.sweep_budgeted(
+        (None, Backend::Bounded { props, max_len, lassos }) => {
+            let sweep = bounded_checker(props, *max_len, *lassos).sweep_budgeted(
                 arena,
                 job.id,
                 job.domain.as_deref(),
                 job.parallelism,
                 &job.budget,
             );
-            let (verdict, index) = match sweep.counterexample {
-                Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
-                None => match sweep.exhausted {
-                    Some(cut) => (Verdict::exhausted(cut), None),
-                    None => (Verdict::ValidUpTo(*max_len), None),
-                },
-            };
-            (verdict, sweep.traces_checked, sweep.memo, sweep.workers, index)
+            JobOutcome::of_sweep(sweep, |cut| {
+                cut.map_or(Verdict::ValidUpTo(*max_len), Verdict::exhausted)
+            })
         }
-        Backend::Decide => {
-            let (verdict, traces_checked, memo, workers, failing_index, stats) = decide(arena, job);
-            condition = stats;
-            (verdict, traces_checked, memo, workers, failing_index)
+        (None, Backend::Decide) => decide(arena, job),
+        (None, Backend::Auto) => {
+            unreachable!("Backend::Auto is resolved to a concrete backend at prepare")
         }
-        Backend::Auto => unreachable!("Backend::Auto is resolved to a concrete backend at prepare"),
     };
-    JobOutcome {
-        verdict,
-        traces_checked,
-        memo,
-        condition,
-        workers,
-        failing_index,
-        duration: start.elapsed(),
-    }
+    outcome.duration = start.elapsed();
+    outcome
 }
 
 /// The `Decide` backend: translate to LTL and run Algorithm B under the
@@ -2283,16 +2119,12 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
 /// lowest-index-wins sweep the `Bounded` backend uses.  Verdicts — `Holds`, the concrete
 /// counterexample, and `Unknown`-under-budget alike — are bit-identical at
 /// every worker count (deadline/cancellation cuts aside).
-fn decide<A: ArenaRead + Sync>(
-    arena: &A,
-    job: &PreparedJob,
-) -> (Verdict, usize, MemoStats, usize, Option<usize>, ConditionStats) {
+fn decide<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobOutcome {
     let workers = job.parallelism.workers();
-    let none = MemoStats::default();
-    let mut condition_stats = ConditionStats::default();
     let Ok(ltl) = to_ltl(&job.formula) else {
-        return (Verdict::unknown(), 0, none, workers, None, condition_stats);
+        return JobOutcome::new(Verdict::unknown(), workers);
     };
+    let mut condition_stats = ConditionStats::default();
     let theory = PropositionalTheory::new();
     let algorithm =
         AlgorithmB::new(&theory, VarSpec::all_state()).with_parallelism(job.parallelism);
@@ -2340,64 +2172,52 @@ fn decide<A: ArenaRead + Sync>(
             }
         };
     let refuted = match decided {
-        Ok(Decision::Valid) => return (Verdict::Holds, 0, none, workers, None, condition_stats),
+        Ok(Decision::Valid) => {
+            return JobOutcome {
+                condition: condition_stats,
+                ..JobOutcome::new(Verdict::Holds, workers)
+            }
+        }
         // Not valid (or a mixed-mode Unknown, out of reach for the all-state
         // classification used here): a concrete countermodel is worth the
         // sweep below.
         Ok(Decision::NotValid | Decision::Unknown) => None,
         Err(cut) => Some(cut),
     };
-    // Concretize over the deepest bound whose enumeration fits the budget.
-    // A saturated model count never fits — the enumeration's global indices
-    // would overflow — so a very wide alphabet degrades to `Unknown` even
-    // under an unbounded cap rather than attempting an uncountable sweep.
-    // Whether the *budget* (as opposed to saturation or the internal depth
-    // constant) rejected a deeper bound is tracked so the verdict only
-    // reports `exhausted: Some(Enumeration)` when raising `max_enumeration`
-    // could actually have helped.
+    // Concretize over the deepest bound whose enumeration fits the budget
+    // ([`refutation_depth`]).  Whether the *budget* (as opposed to
+    // saturation or the internal depth constant) rejected a deeper bound is
+    // tracked so the verdict only reports `exhausted: Some(Enumeration)`
+    // when raising `max_enumeration` could actually have helped.
     let props = analysis::proposition_names(&job.formula);
-    let cap = job.budget.max_enumeration();
-    let mut cap_blocked_depth = false;
-    let mut chosen = None;
-    for len in (1..=DECIDE_REFUTATION_BOUND).rev() {
-        let checker = BoundedChecker::new(props.clone(), len);
-        let count = checker.model_count();
-        if count == usize::MAX {
-            continue; // Uncountable at this depth: not a budget matter.
-        }
-        if count > cap {
-            cap_blocked_depth = true;
-            continue;
-        }
-        chosen = Some(checker);
-        break;
-    }
-    let budget_cut_depth = cap_blocked_depth.then_some(Exhaustion::Enumeration);
-    let Some(checker) = chosen else {
+    let (depth, cap_blocked) = refutation_depth(&props, job.budget.max_enumeration());
+    let budget_cut_depth = cap_blocked.then_some(Exhaustion::Enumeration);
+    let Some(len) = depth else {
         // No enumerable refutation depth at all: name the tableau cut or the
         // cap if one of them is to blame; pure saturation is a plain
         // `Unknown` no budget change can fix.
-        return match refuted.or(budget_cut_depth) {
-            Some(cut) => (Verdict::exhausted(cut), 0, none, workers, None, condition_stats),
-            None => (Verdict::unknown(), 0, none, workers, None, condition_stats),
-        };
+        let verdict =
+            refuted.or(budget_cut_depth).map_or_else(Verdict::unknown, Verdict::exhausted);
+        return JobOutcome { condition: condition_stats, ..JobOutcome::new(verdict, workers) };
     };
-    let sweep = checker.sweep_budgeted(arena, job.id, None, job.parallelism, &job.budget);
-    let (verdict, index) = match sweep.counterexample {
-        Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
-        // No countermodel within reach: blame the earliest budget cut — the
-        // tableau exhaustion if there was one, a sweep cut otherwise, or the
-        // enumeration cap when it forced a shallower bound than the budget-
-        // independent choice would have used.  A sweep that ran the deepest
-        // enumerable depth to completion exhausted nothing: the verdict is a
-        // plain `Unknown` (the depth limit is an internal constant, not a
-        // budget resource).
-        None => match refuted.or(sweep.exhausted).or(budget_cut_depth) {
-            Some(cut) => (Verdict::exhausted(cut), None),
-            None => (Verdict::unknown(), None),
-        },
-    };
-    (verdict, sweep.traces_checked, sweep.memo, sweep.workers, index, condition_stats)
+    let sweep = BoundedChecker::new(props, len).sweep_budgeted(
+        arena,
+        job.id,
+        None,
+        job.parallelism,
+        &job.budget,
+    );
+    // No countermodel within reach: blame the earliest budget cut — the
+    // tableau exhaustion if there was one, a sweep cut otherwise, or the
+    // enumeration cap when it forced a shallower bound than the budget-
+    // independent choice would have used.  A sweep that ran the deepest
+    // enumerable depth to completion exhausted nothing: the verdict is a
+    // plain `Unknown` (the depth limit is an internal constant, not a
+    // budget resource).
+    let outcome = JobOutcome::of_sweep(sweep, |cut| {
+        refuted.or(cut).or(budget_cut_depth).map_or_else(Verdict::unknown, Verdict::exhausted)
+    });
+    JobOutcome { condition: condition_stats, ..outcome }
 }
 
 /// Runs pulled from a lazy [`RunSource`] per fan-out round.  Collected
@@ -2432,7 +2252,7 @@ fn drive_runs<'a, A: ArenaRead + Sync>(
     domain: Option<&[Value]>,
     pool: &WorkerPool,
     budget: &ResourceBudget,
-) -> (Verdict, usize, MemoStats, Option<usize>) {
+) -> JobOutcome {
     let workers = pool.workers();
     let cap = budget.max_enumeration();
     // One evaluator (plus its examined-run counter) per worker for the
@@ -2531,7 +2351,7 @@ fn drive_runs<'a, A: ArenaRead + Sync>(
         checked_total += checked;
         memo_total.merge(memo.stats());
     }
-    let (verdict, index) = match failure {
+    let (verdict, failing_index) = match failure {
         Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
         None => match exhausted {
             Some(cut) => (Verdict::exhausted(cut), None),
@@ -2539,7 +2359,12 @@ fn drive_runs<'a, A: ArenaRead + Sync>(
             None => (Verdict::Holds, None),
         },
     };
-    (verdict, checked_total, memo_total, index)
+    JobOutcome {
+        traces_checked: checked_total,
+        memo: memo_total,
+        failing_index,
+        ..JobOutcome::new(verdict, workers)
+    }
 }
 
 /// Trace length used to concretize tableau non-validity into a counterexample.
@@ -2548,6 +2373,38 @@ fn drive_runs<'a, A: ArenaRead + Sync>(
 /// `Unknown`) rather than letting a wide alphabet stall a call documented
 /// never to hang.
 const DECIDE_REFUTATION_BOUND: usize = 4;
+
+/// The refutation-depth rule shared by the `Decide` concretization sweep and
+/// `Auto` routing: the deepest length in `1..=DECIDE_REFUTATION_BOUND` whose
+/// enumeration over `props` fits the enumeration cap `cap`, plus whether
+/// `cap` (rather than saturation) ruled out a deeper length.  A saturated
+/// model count never fits — the enumeration's global indices would
+/// overflow — so a very wide alphabet gets no depth even under an unbounded
+/// cap.
+fn refutation_depth(props: &[String], cap: usize) -> (Option<usize>, bool) {
+    let mut cap_blocked = false;
+    for len in (1..=DECIDE_REFUTATION_BOUND).rev() {
+        let count = BoundedChecker::new(props.iter().cloned(), len).model_count();
+        if count == usize::MAX {
+            continue; // Uncountable at this depth: not a budget matter.
+        }
+        if count <= cap {
+            return (Some(len), cap_blocked);
+        }
+        cap_blocked = true;
+    }
+    (None, cap_blocked)
+}
+
+/// The checker a [`Backend::Bounded`] job sweeps.
+fn bounded_checker(props: &[String], max_len: usize, lassos: bool) -> BoundedChecker {
+    let checker = BoundedChecker::new(props.iter().cloned(), max_len);
+    if lassos {
+        checker
+    } else {
+        checker.without_lassos()
+    }
+}
 
 /// Resolves [`Backend::Auto`] against the pre-flight [`CostEstimate`]:
 /// the concrete backend plus the (possibly adjusted) budget the routed job
@@ -2583,15 +2440,8 @@ pub fn auto_backend(
         (Backend::Decide, budget)
     } else {
         let props = analysis::proposition_names(formula);
-        let cap = budget.max_enumeration();
-        let mut max_len = 1;
-        for len in (1..=DECIDE_REFUTATION_BOUND).rev() {
-            let count = BoundedChecker::new(props.clone(), len).model_count();
-            if count != usize::MAX && count <= cap {
-                max_len = len;
-                break;
-            }
-        }
+        // Depth 1 is the floor when no depth fits the cap.
+        let max_len = refutation_depth(&props, budget.max_enumeration()).0.unwrap_or(1);
         (Backend::Bounded { props, max_len, lassos: true }, budget.clone())
     }
 }
@@ -2626,11 +2476,8 @@ fn admission(
 ) -> Option<Exhaustion> {
     match backend {
         Backend::Bounded { props, max_len, lassos } => {
-            let mut checker = BoundedChecker::new(props.clone(), *max_len);
-            if !lassos {
-                checker = checker.without_lassos();
-            }
-            (checker.model_count() > budget.max_enumeration()).then_some(Exhaustion::Enumeration)
+            let count = bounded_checker(props, *max_len, *lassos).model_count();
+            (count > budget.max_enumeration()).then_some(Exhaustion::Enumeration)
         }
         Backend::Decide if estimate.translatable => {
             if estimate.nodes > budget.max_nodes() as u64 {
@@ -3165,31 +3012,56 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_mut_shims_forward_to_the_shared_api() {
-        let mut session = Session::new();
-        let handle = session.submit_mut(CheckRequest::new(prop("P")).bounded(["P"], 2));
-        let reports = session
-            .check_many_mut(vec![
-                CheckRequest::new(prop("P").or(prop("P").not())).bounded(["P"], 2)
-            ]);
-        assert!(reports[0].verdict.passed());
-        assert!(matches!(session.wait(&handle).verdict, Verdict::Counterexample(_)));
+    fn one_shared_session_covers_interning_and_checking() {
+        let session = Session::new();
+        let shared = &session;
+        let id = shared.intern(&prop("P").or(prop("P").not()));
+        let before = shared.arena().version();
+        let handle = shared.submit(CheckRequest::new(shared.extract(id)).bounded(["P"], 3));
+        assert_eq!(shared.pending_jobs(), 1);
+        let report = shared.wait(&handle);
+        assert_eq!(report.verdict, Verdict::ValidUpTo(3));
+        // Checking interned nothing new: the formula was already present.
+        assert_eq!(shared.arena().version(), before);
+        assert_eq!(shared.cumulative_cache(), CacheStats { hits: 0, misses: 1 });
     }
 
     #[test]
-    fn split_handles_cover_interning_and_checking() {
-        let session = Session::new();
-        let interner = session.interner();
-        let checker = session.checker();
-        let id = interner.intern(&prop("P").or(prop("P").not()));
-        let before = interner.version();
-        let handle = checker.submit(CheckRequest::new(interner.extract(id)).bounded(["P"], 3));
-        assert_eq!(checker.pending_jobs(), 1);
-        let report = checker.wait(&handle);
-        assert_eq!(report.verdict, Verdict::ValidUpTo(3));
-        // Checking interned nothing new: the formula was already present.
-        assert_eq!(interner.version(), before);
-        assert_eq!(checker.cumulative_cache(), CacheStats { hits: 0, misses: 1 });
+    fn refutation_depth_rule_holds_at_its_boundaries() {
+        // Over one proposition, lassos on, depths 1..=4 enumerate 4, 16, 48
+        // and 128 computations.
+        let one = vec!["P".to_string()];
+        let counts: Vec<usize> =
+            (1..=4).map(|len| BoundedChecker::new(one.clone(), len).model_count()).collect();
+        assert_eq!(counts, [4, 16, 48, 128]);
+        // A cap exactly equal to a depth's count admits that depth; the
+        // deeper depth it rules out is the cap's doing.
+        assert_eq!(refutation_depth(&one, 48), (Some(3), true));
+        assert_eq!(refutation_depth(&one, 47), (Some(2), true));
+        assert_eq!(refutation_depth(&one, 128), (Some(4), false));
+        // A cap below depth 1 leaves no depth at all, blamed on the cap.
+        assert_eq!(refutation_depth(&one, 3), (None, true));
+        // A saturated count (`usize::MAX`) never fits, even under an
+        // unbounded cap, and is not the budget's fault.
+        let sixteen: Vec<String> = (0..16).map(|i| format!("P{i}")).collect();
+        assert_eq!(BoundedChecker::new(sixteen.clone(), 4).model_count(), usize::MAX);
+        assert_eq!(refutation_depth(&sixteen, usize::MAX), (Some(3), false));
+        let seventy: Vec<String> = (0..70).map(|i| format!("P{i}")).collect();
+        assert_eq!(refutation_depth(&seventy, usize::MAX), (None, false));
+
+        // `Auto` routes an untranslatable formula by the same rule, with
+        // depth 1 as the floor when nothing fits.
+        let untranslatable = CostEstimate { translatable: false, ..CostEstimate::default() };
+        let routed_depth = |cap: usize| {
+            let budget = ResourceBudget::unbounded().with_max_enumeration(cap);
+            match auto_backend(&prop("P"), &untranslatable, &budget).0 {
+                Backend::Bounded { max_len, .. } => max_len,
+                other => panic!("untranslatable formulas route to Bounded, got {other:?}"),
+            }
+        };
+        assert_eq!(routed_depth(48), 3);
+        assert_eq!(routed_depth(47), 2);
+        assert_eq!(routed_depth(usize::MAX), 4);
+        assert_eq!(routed_depth(3), 1);
     }
 }

@@ -8,8 +8,7 @@
 //! arena version current at its prepare, and later interns append ids that
 //! the older snapshot simply does not see.  These tests pin the contract:
 //!
-//! 1. `Session` (and its split [`InternHandle`]/[`CheckHandle`] surfaces)
-//!    are `Send + Sync` — the compile-time audit.
+//! 1. `Session` is `Send + Sync` — the compile-time audit.
 //! 2. Concurrent sessions on many threads produce reports bit-identical to
 //!    each other and to a fresh main-thread session — the stress test.
 //! 3. `submit()` accepts and interns new work while a prior job is
@@ -41,8 +40,6 @@ fn sessions_requests_and_reports_are_send_and_sync() {
     fn assert_sync<T: Sync>() {}
     assert_send::<Session>();
     assert_sync::<Session>();
-    assert_send::<InternHandle<'_>>();
-    assert_send::<CheckHandle<'_>>();
     assert_send::<CheckRequest>();
     assert_send::<CheckReport>();
     assert_send::<ResourceBudget>();
@@ -262,24 +259,23 @@ fn interleaved_interning_never_perturbs_in_flight_checks() {
 
     let mut per_worker_runs: Vec<Vec<CheckReport>> = Vec::new();
     for workers in [0usize, 2, 4] {
-        let session = Session::new().with_parallelism(Parallelism::Fixed(workers));
-        let interner = session.interner();
-        let checker = session.checker();
+        let owned = Session::new().with_parallelism(Parallelism::Fixed(workers));
+        let session = &owned;
         let mut handles = Vec::new();
         for (job, request) in requests.iter().enumerate() {
-            handles.push(checker.submit(request.clone()));
+            handles.push(session.submit(request.clone()));
             // Interleave: intern noise the queued jobs must *not* see, and
-            // verify the version handle ratchets forward as ids append.
-            let before = interner.version();
-            let id = interner.intern(&noise[job]);
-            assert!(interner.version() >= before, "versions are monotone");
-            assert_eq!(&interner.extract(id), &noise[job], "interned ids round-trip");
+            // verify the arena version ratchets forward as ids append.
+            let before = session.arena().version();
+            let id = session.intern(&noise[job]);
+            assert!(session.arena().version() >= before, "versions are monotone");
+            assert_eq!(&session.extract(id), &noise[job], "interned ids round-trip");
             // Drain a prefix mid-stream so checks and interning overlap.
             if job % 3 == 0 {
-                checker.run_pending();
+                session.run_pending();
             }
         }
-        let reports: Vec<CheckReport> = handles.iter().map(|handle| checker.wait(handle)).collect();
+        let reports: Vec<CheckReport> = handles.iter().map(|handle| session.wait(handle)).collect();
 
         for (job, (report, reference)) in reports.iter().zip(&references).enumerate() {
             assert_eq!(

@@ -85,14 +85,18 @@ pub struct Pruned {
 /// Applies the iteration method of §4.4 to the graph.
 ///
 /// Honours the `ILOGIC_TEST_PARALLEL` environment override (the pruned graph
-/// is identical at every worker count); use [`prune_with`] to pick the
+/// is identical at every worker count); use [`prune_budgeted`] to pick the
 /// parallelism explicitly.
 pub fn prune(graph: &LowGraph) -> Pruned {
-    prune_with(graph, Parallelism::from_env().unwrap_or(Parallelism::Off))
+    let parallelism = Parallelism::from_env().unwrap_or(Parallelism::Off);
+    prune_budgeted(graph, parallelism, &ResourceBudget::unbounded())
+        .expect("an unbudgeted prune cannot be interrupted")
 }
 
 /// [`prune`] with the expensive per-edge deletion predicates fanned across a
-/// worker pool.
+/// worker pool, under a [`ResourceBudget`]: the deletion loop has no
+/// structural cap (it only shrinks the graph), but the budget's
+/// deadline/cancellation cutoffs are polled once per deletion round.
 ///
 /// Two passes stripe across workers: the upfront contradictory-label filter
 /// (one `is_contradictory` check per edge, once before the loop) and each
@@ -102,14 +106,6 @@ pub fn prune(graph: &LowGraph) -> Pruned {
 /// sequentially computed closure and stay inline.  Every predicate is a pure
 /// function of the edge and pre-pass maps, so the deletion sequence (and
 /// [`PruneStats::rounds`]) is identical at every worker count.
-pub fn prune_with(graph: &LowGraph, parallelism: Parallelism) -> Pruned {
-    prune_budgeted(graph, parallelism, &ResourceBudget::unbounded())
-        .expect("an unbudgeted prune cannot be interrupted")
-}
-
-/// [`prune_with`] under a [`ResourceBudget`]: the deletion loop has no
-/// structural cap (it only shrinks the graph), but the budget's
-/// deadline/cancellation cutoffs are polled once per deletion round.
 pub fn prune_budgeted(
     graph: &LowGraph,
     parallelism: Parallelism,

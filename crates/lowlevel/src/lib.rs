@@ -32,8 +32,7 @@ pub mod translate;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::decide::{
-        accepted_interps, prune, prune_with, satisfiable_graph, satisfiable_graph_with, GraphSat,
-        PruneStats,
+        accepted_interps, prune, satisfiable_graph, satisfiable_graph_with, GraphSat, PruneStats,
     };
     pub use crate::exec::{complete, synthesize, Schedule};
     pub use crate::graph::{build_graph, GraphBuilder, GraphLimits, LowGraph};

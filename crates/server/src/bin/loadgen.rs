@@ -22,9 +22,14 @@
 //!   `cache_hits / (cache_hits + cache_misses)` reaches at least `r`.
 //!
 //! Results (jobs/sec, p50/p99 latency, shed rate, cache hit rate, metric
-//! counters) go to stdout and to `--out` as JSON.  Exit status is non-zero
-//! when any contract clause fails, so CI can gate on it directly.
+//! counters) go to stdout and to `--out` as JSON.  Refusals other than
+//! shedding are counted in `other_4xx` and broken down by the error code of
+//! their body in `rejected_by_code` (`parse`, `lint`, `api-version`, …;
+//! `unknown` when the body does not decode as an error report).  Exit
+//! status is non-zero when any contract clause fails, so CI can gate on it
+//! directly.
 
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use ilogic_core::generate::{FormulaGenerator, GeneratorConfig};
 use ilogic_core::json::Json;
+use ilogic_core::session::ErrorReport;
 use ilogic_server::client::ClientConn;
 
 struct Args {
@@ -51,6 +57,8 @@ struct ThreadOutcome {
     ok: u64,
     shed: u64,
     other_4xx: u64,
+    /// `other_4xx` by the refusal's error code.
+    rejected_by_code: BTreeMap<String, u64>,
     non_shed_5xx: u64,
     transport_errors: u64,
     latencies_us: Vec<u64>,
@@ -87,6 +95,9 @@ fn main() {
         total.ok += outcome.ok;
         total.shed += outcome.shed;
         total.other_4xx += outcome.other_4xx;
+        for (code, count) in outcome.rejected_by_code {
+            *total.rejected_by_code.entry(code).or_default() += count;
+        }
         total.non_shed_5xx += outcome.non_shed_5xx;
         total.transport_errors += outcome.transport_errors;
         total.latencies_us.extend(outcome.latencies_us);
@@ -172,7 +183,12 @@ fn drive_connection(
                         outcome.latencies_us.push(micros);
                     }
                     503 => outcome.shed += 1,
-                    400..=499 => outcome.other_4xx += 1,
+                    400..=499 => {
+                        outcome.other_4xx += 1;
+                        let code = ErrorReport::from_json(&response.body)
+                            .map_or_else(|_| "unknown".to_string(), |error| error.code);
+                        *outcome.rejected_by_code.entry(code).or_default() += 1;
+                    }
                     _ => outcome.non_shed_5xx += 1,
                 }
             }
@@ -254,6 +270,12 @@ fn build_report(
         .field("completed", Json::Int(total.ok as i64))
         .field("shed", Json::Int(total.shed as i64))
         .field("other_4xx", Json::Int(total.other_4xx as i64))
+        .field(
+            "rejected_by_code",
+            total.rejected_by_code.iter().fold(Json::object(), |object, (code, count)| {
+                object.field(code.clone(), Json::Int(*count as i64))
+            }),
+        )
         .field("non_shed_5xx", Json::Int(total.non_shed_5xx as i64))
         .field("transport_errors", Json::Int(total.transport_errors as i64))
         .field("jobs_per_sec", Json::Float((jobs_per_sec * 100.0).round() / 100.0))

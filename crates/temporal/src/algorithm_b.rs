@@ -24,23 +24,29 @@
 //!
 //! # The condition store, the evaluated fixpoint, and budgets
 //!
-//! The §5.3 double fixpoint is the procedure's hot phase — PR 2 measured the
-//! `[ => Q ] []P` blowup *here*, not in tableau construction (the graph is
-//! only 97 nodes / 3362 edges and builds in ~55 ms, but the unbudgeted
-//! fixpoint over explicit `BTreeSet` DNFs does not terminate in hours).  Two
-//! mechanisms now split that cost by what the caller actually needs:
+//! The §5.3 double fixpoint is where the explicit condition blows up: on
+//! the `[ => Q ] []P` family the unbudgeted fixpoint over explicit
+//! `BTreeSet` DNFs does not terminate in hours.  Tableau construction is
+//! not cheap either, and on decisions it is the larger cost.  perfbench's
+//! `--trace 1` run at seed 1 (2 hardware threads) puts `tableau.busy_ms` at
+//! 2,759 ms of the 4,379 ms of `decide_corpus` check time (63%), and a
+//! probe of the `[ => Q ] []P` decision measured 76–103 ms per tableau
+//! build against 0.4–1.2 ms for the evaluated fixpoint that follows it.
+//! Two mechanisms split the fixpoint's cost by what the caller actually
+//! needs:
 //!
 //! * **Decisions** ([`AlgorithmB::decide`] / [`AlgorithmB::decide_budgeted`])
 //!   never materialize a condition in the state-variable, mixed, and
 //!   propositional modes: they run the same fixpoint over plain Booleans
-//!   ([`evaluate_condition_at`]) — evaluation at an atom assignment is a
-//!   lattice homomorphism onto the Booleans, so the projected fixpoint
-//!   returns exactly the condition's truth value in O(graph) time.  This is
-//!   what finally refutes the prefix-invariance family in milliseconds.
-//! * **The explicit condition artifact**
-//!   ([`AlgorithmB::condition_budgeted`], [`condition_of_graph_budgeted`])
-//!   runs on the interned [`crate::dnf::store::ConditionStore`]: `delete`/
-//!   `fail` values are hash-consed [`DnfId`]s, products are memoized, and
+//!   ([`evaluate_condition_at_budgeted_stats`]) — evaluation at an atom
+//!   assignment is a lattice homomorphism onto the Booleans, so the
+//!   projected fixpoint returns exactly the condition's truth value in
+//!   O(graph) time.  This is what refutes the prefix-invariance family once
+//!   its tableau is built.
+//! * **The explicit condition artifact** ([`AlgorithmB::condition_budgeted`],
+//!   [`condition_of_graph_budgeted_stats`]) runs on the interned
+//!   [`crate::dnf::store::ConditionStore`]: `delete`/`fail` values are
+//!   hash-consed [`DnfId`]s, products are memoized, and
 //!   the shared atomic [`crate::dnf::DnfBudget`] cell charges *distinct*
 //!   implicants, so heavily-absorbing computations fit budgets the old
 //!   pre-absorption estimate tripped on.  The iteration itself is
@@ -58,6 +64,11 @@
 //!   worklist engine), and the PR 3 `BTreeSet` fixpoint as
 //!   [`condition_of_graph_baseline`], the oracle for tests and the
 //!   `condition_fixpoint` bench.
+//!
+//! Each engine has a plain call for tests and examples (unbounded,
+//! sequential) and a full call under a [`ResourceBudget`]; the `_stats`
+//! forms of the full calls also hand back the [`StoreStats`] of a tripped
+//! attempt, which the `Session` reports surface.
 //!
 //! [`AlgorithmB::with_parallelism`] routes the whole procedure (tableau,
 //! fixpoint sweeps, end-of-run selection check) through the pool.
@@ -169,8 +180,8 @@ impl<'t> AlgorithmB<'t> {
     /// the condition fixpoint.  The DNF fixpoint is the dangerous phase — on
     /// the nested weak-until translations of interval formulas it explodes
     /// combinatorially even when the graph itself stays small (e.g.
-    /// `¬to_ltl([ => Q ] []P)` builds a 97-node / 3362-edge graph in
-    /// milliseconds whose fixpoint does not terminate in hours).
+    /// `¬to_ltl([ => Q ] []P)` builds a 97-node / 3362-edge graph in about
+    /// 0.1 s whose fixpoint does not terminate in hours).
     pub fn condition_budgeted(
         &self,
         formula: &Ltl,
@@ -178,23 +189,7 @@ impl<'t> AlgorithmB<'t> {
     ) -> Result<Condition, Exhaustion> {
         let graph =
             TableauGraph::try_build_budgeted(&formula.clone().not(), budget, self.parallelism)?;
-        condition_of_graph_budgeted(graph, budget, self.parallelism)
-    }
-
-    /// [`AlgorithmB::condition_budgeted`] that also reports the
-    /// [`ConditionStore`] counters of the attempt — on *both* outcomes.  A
-    /// trip still did real interning work (on the measured blowup family,
-    /// thousands of distinct implicants before the cap fires), and the
-    /// session reports surface exactly those counters.
-    pub fn condition_budgeted_with_stats(
-        &self,
-        formula: &Ltl,
-        budget: &ResourceBudget,
-    ) -> (Result<Condition, Exhaustion>, StoreStats) {
-        match TableauGraph::try_build_budgeted(&formula.clone().not(), budget, self.parallelism) {
-            Ok(graph) => condition_of_graph_budgeted_stats(graph, budget, self.parallelism),
-            Err(cut) => (Err(cut), StoreStats::default()),
-        }
+        condition_of_graph_budgeted_stats(graph, budget, self.parallelism).0
     }
 
     /// Decides whether `formula` is valid in `TL(T)`.
@@ -222,8 +217,8 @@ impl<'t> AlgorithmB<'t> {
     /// `∨`, and hence with every step of the §5.3 iteration, whose extreme
     /// fixpoints are preserved — these truth values can be computed by
     /// running the *same* double fixpoint over plain Booleans
-    /// ([`evaluate_condition_at`]): O(graph) work, no DNF ever materialized,
-    /// no implicant budget consumed.
+    /// ([`evaluate_condition_at_budgeted_stats`]): O(graph) work, no DNF
+    /// ever materialized, no implicant budget consumed.
     ///
     /// This is what tames the nested weak-until family for good: the
     /// `[ => Q ] []P` condition's minimal DNF is astronomically wide (the
@@ -241,25 +236,15 @@ impl<'t> AlgorithmB<'t> {
     ) -> Result<Decision, Exhaustion> {
         let graph =
             TableauGraph::try_build_budgeted(&formula.clone().not(), budget, self.parallelism)?;
-        self.decide_from_graph_budgeted(formula, &graph, budget)
+        self.decide_from_graph_budgeted_stats(formula, &graph, budget).0
     }
 
     /// [`AlgorithmB::decide_budgeted`] over an already-built `Graph(¬formula)`
     /// — for callers (the `Session` Decide backend) that also compute the
     /// explicit condition artifact from the same graph and must not pay the
-    /// tableau construction twice.
-    pub fn decide_from_graph_budgeted(
-        &self,
-        formula: &Ltl,
-        graph: &TableauGraph,
-        budget: &ResourceBudget,
-    ) -> Result<Decision, Exhaustion> {
-        self.decide_from_graph_budgeted_stats(formula, graph, budget).0
-    }
-
-    /// [`AlgorithmB::decide_from_graph_budgeted`] that also reports the
-    /// fixpoint counters of the attempt — on *both* outcomes.  In the
-    /// evaluated (Boolean) modes the interning counters stay zero but the
+    /// tableau construction twice — also reporting the fixpoint counters of
+    /// the attempt on *both* outcomes.  In the evaluated (Boolean) modes the
+    /// interning counters stay zero but the
     /// `rounds`/`equations_evaluated`/`equations_skipped` trio measures the
     /// worklist engine's work; in the purely extralogical mode the counters
     /// are those of the explicit condition computation.
@@ -327,19 +312,12 @@ impl<'t> AlgorithmB<'t> {
         (Ok(Decision::NotValid), stats)
     }
 
-    /// Decides validity given a previously computed condition (allows callers to
-    /// time the construction and iteration phases separately).
-    pub fn decide_from_condition(&self, formula: &Ltl, condition: &Condition) -> Decision {
-        let budget = ResourceBudget::unbounded().with_max_enumeration(self.selection_limit);
-        self.decide_from_condition_budgeted(formula, condition, &budget)
-            .unwrap_or(Decision::Unknown)
-    }
-
-    /// [`AlgorithmB::decide_from_condition`] under a [`ResourceBudget`]: the
-    /// extralogical-variable selection check enumerates at most
-    /// `budget.max_enumeration()` selections (`Err(Enumeration)` beyond
-    /// that), and the budget's deadline/cancellation cutoffs are polled
-    /// before the sweep starts.
+    /// Decides validity given a previously computed condition (allows callers
+    /// to time the construction and iteration phases separately), under a
+    /// [`ResourceBudget`]: the extralogical-variable selection check
+    /// enumerates at most `budget.max_enumeration()` selections
+    /// (`Err(Enumeration)` beyond that), and the budget's
+    /// deadline/cancellation cutoffs are polled before the sweep starts.
     pub fn decide_from_condition_budgeted(
         &self,
         formula: &Ltl,
@@ -433,20 +411,22 @@ impl<'t> AlgorithmB<'t> {
 /// fixpoint iteration of Appendix B §5.3, accelerated per strongly connected
 /// component as described in §6.
 pub fn condition_of_graph(graph: TableauGraph) -> Condition {
-    condition_of_graph_budgeted(graph, &ResourceBudget::unbounded(), Parallelism::Off)
+    condition_of_graph_budgeted_stats(graph, &ResourceBudget::unbounded(), Parallelism::Off)
+        .0
         .expect("an unbounded budget cannot be exceeded")
 }
 
-/// [`condition_of_graph`] under an implicant budget: `None` as soon as any
-/// intermediate DNF (or the conservative size estimate of one equation's
-/// conjunction) exceeds `max_implicants`.  Shim over
-/// [`condition_of_graph_budgeted`].
-pub fn condition_of_graph_bounded(graph: TableauGraph, max_implicants: usize) -> Option<Condition> {
-    condition_of_graph_with(graph, max_implicants, Parallelism::Off)
-}
-
-/// [`condition_of_graph_bounded`] with the fixpoint rounds sharded across a
-/// worker pool.
+/// [`condition_of_graph`] under a full [`ResourceBudget`], with the
+/// fixpoint rounds sharded across a worker pool: enforces the
+/// distinct-implicant cap *and* the budget's deadline/cancellation cutoffs
+/// (polled at every round and inside large products through the shared
+/// [`DnfBudget`] cell), and names the exhausted resource on `Err`.  The
+/// [`ConditionStore`] counters come back on *both* outcomes — a budget trip
+/// still did real interning/memoization work, and the session reports
+/// surface it.  On `Ok` the same counters are also available via
+/// [`Condition::store_stats`].
+///
+/// # Worklist rounds
 ///
 /// The iteration is organized as *worklist rounds*: each round evaluates the
 /// equations of the current component whose inputs changed since their last
@@ -461,31 +441,13 @@ pub fn condition_of_graph_bounded(graph: TableauGraph, max_implicants: usize) ->
 /// `⊥` to its least, and on a finite lattice chaotic iteration reaches the
 /// unique extreme fixpoint in either discipline.
 ///
-/// The `max_implicants` budget is enforced globally through one shared
-/// [`DnfBudget`] cell: the first equation (on any worker) whose product
-/// estimate exceeds the budget trips the cell, every other
-/// in-flight product aborts at its next step, and the whole computation
-/// answers `None`.  Whether an equation trips is a function of the round
-/// snapshot alone, so budgeted `None`/`Some` answers — and hence
-/// `Unknown`-vs-decided verdicts upstream — are identical at every worker
-/// count.
-pub fn condition_of_graph_with(
-    graph: TableauGraph,
-    max_implicants: usize,
-    parallelism: Parallelism,
-) -> Option<Condition> {
-    condition_of_graph_budgeted(
-        graph,
-        &ResourceBudget::unbounded().with_max_implicants(max_implicants),
-        parallelism,
-    )
-    .ok()
-}
-
-/// [`condition_of_graph_with`] under a full [`ResourceBudget`]: enforces the
-/// distinct-implicant cap *and* the budget's deadline/cancellation cutoffs
-/// (polled at every round and inside large products through the shared
-/// [`DnfBudget`] cell), and names the exhausted resource on `Err`.
+/// The implicant cap is enforced globally through the shared [`DnfBudget`]
+/// cell: the first equation (on any worker) whose product exceeds the
+/// budget trips the cell, every other in-flight product aborts at its next
+/// step, and the whole computation answers `Err`.  Whether an equation
+/// trips is a function of the round snapshot alone, so budgeted `Ok`/`Err`
+/// answers — and hence `Unknown`-vs-decided verdicts upstream — are
+/// identical at every worker count.
 ///
 /// # The semi-naive interned fixpoint
 ///
@@ -526,18 +488,6 @@ pub fn condition_of_graph_with(
 /// directly against the mutable store in task order, same ids and charges,
 /// minus the double memo walk.  [`condition_of_graph_full_sweep_stats`]
 /// keeps the full-sweep discipline callable as the differential anchor.
-pub fn condition_of_graph_budgeted(
-    graph: TableauGraph,
-    resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
-) -> Result<Condition, Exhaustion> {
-    condition_of_graph_budgeted_stats(graph, resource_budget, parallelism).0
-}
-
-/// [`condition_of_graph_budgeted`] that also hands back the
-/// [`ConditionStore`] counters on *both* outcomes — a budget trip still did
-/// real interning/memoization work, and the session reports surface it.  On
-/// `Ok` the same counters are also available via [`Condition::store_stats`].
 pub fn condition_of_graph_budgeted_stats(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
@@ -654,46 +604,33 @@ fn condition_of_graph_engine(
 /// Evaluates the condition `delete(init)` of a tableau graph as a plain
 /// Boolean at the atom assignment `atom_true` (indexed by edge id), by
 /// running the Appendix B §5.3 double fixpoint over the two-point lattice
-/// instead of over condition DNFs.
+/// instead of over condition DNFs.  The budget's wall-clock deadline and
+/// cancellation token are polled once per fixpoint round (the structural
+/// caps cannot apply — the Boolean projection allocates nothing to cap);
+/// `Err` names the timing cutoff that fired.  The worklist counters of the
+/// run — `rounds`, `equations_evaluated`, `equations_skipped` — come back on
+/// both outcomes; the interning counters stay zero, nothing is ever
+/// interned here.
 ///
 /// Soundness is the canonicity argument of the [`crate::dnf`] module turned
 /// around: evaluation at a fixed assignment is a lattice homomorphism from
 /// canonical monotone DNFs onto the Booleans, so it commutes with every
 /// `∧`/`∨` of the iteration and with its extreme fixpoints — the Boolean
 /// returned here is exactly `delete(init)` of
-/// [`condition_of_graph_budgeted`] evaluated at `atom_true`, computed in
-/// O(graph · rounds) time and O(graph) space however wide the explicit
+/// [`condition_of_graph_budgeted_stats`] evaluated at `atom_true`, computed
+/// in O(graph · rounds) time and O(graph) space however wide the explicit
 /// condition would be.  [`AlgorithmB::decide_budgeted`] uses it to decide
 /// the state-variable and propositional modes without materializing a single
 /// implicant.
-pub fn evaluate_condition_at(graph: &TableauGraph, atom_true: &[bool]) -> bool {
-    evaluate_condition_at_budgeted(graph, atom_true, &ResourceBudget::unbounded())
-        .expect("an unbounded budget cannot be exceeded")
-}
-
-/// [`evaluate_condition_at`] honouring a [`ResourceBudget`]'s wall-clock
-/// deadline and cancellation token, polled once per fixpoint round (the
-/// structural caps cannot apply — the Boolean projection allocates nothing
-/// to cap).  `Err` names the timing cutoff that fired.
-pub fn evaluate_condition_at_budgeted(
-    graph: &TableauGraph,
-    atom_true: &[bool],
-    budget: &ResourceBudget,
-) -> Result<bool, Exhaustion> {
-    evaluate_condition_at_budgeted_stats(graph, atom_true, budget).0
-}
-
-/// [`evaluate_condition_at_budgeted`] that also reports the worklist
-/// counters of the run — `rounds`, `equations_evaluated`,
-/// `equations_skipped`; the interning counters stay zero, nothing is ever
-/// interned here.  The Boolean projection uses the same semi-naive
-/// discipline as the DNF-valued engine (seed everything at phase start,
-/// re-evaluate only dependents of changes), but evaluates its ready set in
-/// place: over the two-point lattice each value moves monotonically within a
-/// phase, so chaotic in-place iteration reaches the same extreme fixpoint as
-/// the snapshot rounds and skipping never changes the answer.  The run
-/// reads the graph's cached sweep plan (SCC order, reverse-dependency CSR,
-/// flat fulfillment tables) instead of re-deriving any of it, so repeated
+///
+/// The Boolean projection uses the same semi-naive discipline as the
+/// DNF-valued engine (seed everything at phase start, re-evaluate only
+/// dependents of changes), but evaluates its ready set in place: over the
+/// two-point lattice each value moves monotonically within a phase, so
+/// chaotic in-place iteration reaches the same extreme fixpoint as the
+/// snapshot rounds and skipping never changes the answer.  The run reads the
+/// graph's cached sweep plan (SCC order, reverse-dependency CSR, flat
+/// fulfillment tables) instead of re-deriving any of it, so repeated
 /// evaluations over one tableau — the shape of an evaluated decision —
 /// amortize everything but the fixpoint itself; it directly speeds the
 /// `[ => Q ] []P` family decision (~2x the PR 5 sweep per call,
@@ -1195,7 +1132,7 @@ impl ConditionFixpoint<'_> {
     }
 
     /// One two-phase round over the `ready` subset of `tasks` (see
-    /// [`condition_of_graph_budgeted`]): frozen phase batched across the
+    /// [`condition_of_graph_budgeted_stats`]): frozen phase batched across the
     /// pool via the sparse [`WorkerPool::map_indexed`], deferred equations
     /// computed sequentially in task order; results aligned with `ready`, or
     /// the exhaustion that tripped the shared budget.  Records the round's
@@ -1449,7 +1386,7 @@ impl DnfOps for Mutable<'_, '_> {
 /// differential tests can compare convergence against the worklist engine.
 ///
 /// Tests pin that it computes the same condition as
-/// [`condition_of_graph_budgeted`] wherever neither path trips its budget,
+/// [`condition_of_graph_budgeted_stats`] wherever neither path trips its budget,
 /// and the `condition_fixpoint` bench measures the speedup of the interned
 /// paths against it.
 pub fn condition_of_graph_baseline(

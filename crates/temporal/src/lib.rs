@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::pool::{Parallelism, WorkerPool};
     pub use crate::semantics::{TlState, TlTrace};
     pub use crate::syntax::{Atom, CmpOp, Literal, Ltl, Term, VarSpec};
-    pub use crate::tableau::{prune, prune_with, satisfiable_pure, valid_pure, TableauGraph};
+    pub use crate::tableau::{prune, satisfiable_pure, valid_pure, TableauGraph};
     pub use crate::theory::{
         CombinedTheory, EqualityTheory, LinearTheory, PropositionalTheory, Theory, TheoryResult,
     };

@@ -21,16 +21,21 @@
 //! [`TableauGraph::try_build_budgeted`] expands each breadth-first frontier's
 //! node labels concurrently (expansion is a pure function of the label set)
 //! and merges the results in sequential frontier order on the calling
-//! thread, and [`prune_with`] stripes the per-edge theory checks and the
+//! thread, and [`prune_budgeted`] stripes the per-edge theory checks and the
 //! per-eventuality reachability analyses.  The merge discipline makes the
 //! graph *bit-identical* at every worker count: same node ids, same edge
 //! ids, same exhaustion answers under the structural caps of a
-//! [`crate::pool::ResourceBudget`].  Construction cost is
-//! dominated by the expansion of disjunction-heavy labels, which is exactly
-//! the part that parallelizes; note however that for the measured
-//! `[ => Q ] []P` family the tableau is *not* the bottleneck (97 nodes /
-//! 3362 edges in milliseconds) — the blowup lives in the
-//! [`crate::algorithm_b`] condition fixpoint downstream.
+//! [`crate::pool::ResourceBudget`].  Construction cost is dominated by the
+//! expansion of disjunction-heavy labels, which is exactly the part that
+//! parallelizes.
+//!
+//! Construction is the dominant cost of a decision.  perfbench's
+//! `--trace 1` run at seed 1 (2 hardware threads) puts `tableau.busy_ms` at
+//! 2,759 ms of the 4,379 ms of `decide_corpus` check time (63%).  On the
+//! `[ => Q ] []P` family the 97-node / 3362-edge graph took 76–103 ms per
+//! build in a probe, against 0.4–1.2 ms for the evaluated fixpoint of
+//! [`crate::algorithm_b`] that decides it; only the *explicit* condition
+//! artifact downstream blows up beyond that.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -668,25 +673,21 @@ impl Pruned {
 /// labels are unsatisfiable in `theory` (Algorithm A's extra deletion), edges
 /// whose eventualities cannot be satisfied, and nodes with no outgoing edges.
 pub fn prune(graph: &TableauGraph, theory: &dyn Theory) -> Pruned {
-    prune_with(graph, theory, Parallelism::Off)
+    prune_budgeted(graph, theory, Parallelism::Off, &ResourceBudget::unbounded())
+        .expect("an unbudgeted prune cannot be interrupted")
 }
 
 /// [`prune`] with the per-edge theory checks and the per-eventuality
-/// reachability analyses fanned across a worker pool.
+/// reachability analyses fanned across a worker pool, under a
+/// [`ResourceBudget`]: the deletion loop is polynomial (no structural cap
+/// applies), but the budget's deadline/cancellation cutoffs are polled once
+/// per deletion round so a service can abandon a prune on a very large
+/// graph.
 ///
 /// Both phases are pure functions of the current alive sets — the theory
 /// filter is independent per edge and the fulfilling-reachability map is
 /// independent per eventuality — so the deletion loop deletes exactly the
 /// same edges in the same rounds at every worker count.
-pub fn prune_with(graph: &TableauGraph, theory: &dyn Theory, parallelism: Parallelism) -> Pruned {
-    prune_budgeted(graph, theory, parallelism, &ResourceBudget::unbounded())
-        .expect("an unbudgeted prune cannot be interrupted")
-}
-
-/// [`prune_with`] under a [`ResourceBudget`]: the deletion loop is polynomial
-/// (no structural cap applies), but the budget's deadline/cancellation
-/// cutoffs are polled once per deletion round so a service can abandon a
-/// prune on a very large graph.
 pub fn prune_budgeted(
     graph: &TableauGraph,
     theory: &dyn Theory,

@@ -8,7 +8,9 @@
 //! store-backed condition fixpoint must compute the same condition as the
 //! PR 3 baseline wherever neither trips.
 
-use ilogic_temporal::algorithm_b::{condition_of_graph_baseline, condition_of_graph_budgeted};
+use ilogic_temporal::algorithm_b::{
+    condition_of_graph_baseline, condition_of_graph_budgeted_stats,
+};
 use ilogic_temporal::dnf::store::ConditionStore;
 use ilogic_temporal::dnf::{Dnf, DnfBudget};
 use ilogic_temporal::patterns;
@@ -170,8 +172,11 @@ fn store_fixpoint_matches_baseline_on_pattern_formulas() {
         for workers in [0usize, 2, 4] {
             let parallelism =
                 if workers == 0 { Parallelism::Off } else { Parallelism::Fixed(workers) };
-            let store =
-                condition_of_graph_budgeted(graph(&label), &ResourceBudget::default(), parallelism);
+            let (store, _) = condition_of_graph_budgeted_stats(
+                graph(&label),
+                &ResourceBudget::default(),
+                parallelism,
+            );
             match (&baseline, &store) {
                 (Ok(base), Ok(interned)) => {
                     assert_eq!(

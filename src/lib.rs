@@ -104,7 +104,7 @@
 //!   + [`Session::wait`] for incremental consumption;
 //! * per-layer limit types (`BuildLimits` / `ConditionLimits`) and ad-hoc
 //!   refutation caps → one [`ResourceBudget`]
-//!   ([`CheckRequest::with_budget`] or [`Session::set_budget`]); the old
+//!   ([`CheckRequest::with_budget`] or [`Session::with_budget`]); the old
 //!   shim types were removed once all call sites migrated;
 //! * matching on `Verdict::Unknown` → `Verdict::Unknown { exhausted }`,
 //!   where `exhausted` names the budget resource that ran out
@@ -119,13 +119,11 @@
 //! across threads (the warm-cache model `ilogic::server` runs).  Migrating:
 //!
 //! * drop the `mut` from `let mut session = Session::new()` — an immutable
-//!   binding now checks, submits, and waits;
-//! * code that wants to hand "interning" and "checking" to different
-//!   components can split the surface into the `Copy` handles
-//!   `Session::interner()` ([`ilogic_core::session::InternHandle`]) and
-//!   `Session::checker()` ([`ilogic_core::session::CheckHandle`]);
-//! * the deprecated `submit_mut`/`check_many_mut` shims forward to the
-//!   `&self` methods and will be removed next release;
+//!   binding now checks, submits, and waits, and a `&Session` can be handed
+//!   to every thread that interns or checks;
+//! * configure a session with the consuming builders
+//!   ([`Session::with_parallelism`], [`Session::with_budget`], …) before
+//!   sharing it;
 //! * duplicate requests now replay cached outcomes —
 //!   [`CheckStats`]`.cache` labels hits per request,
 //!   `Session::cumulative_cache` totals them, and
@@ -159,7 +157,7 @@
 //! Fan a check across a worker pool with
 //! [`CheckRequest::with_parallelism`]([`Parallelism::Auto`] /
 //! [`Parallelism::Fixed`]`(n)` / [`Parallelism::Off`]), set a session-wide
-//! default with [`Session::set_parallelism`] (which also fans
+//! default with [`Session::with_parallelism`] (which also fans
 //! [`Session::check_spec`] clause checking), or force a whole process onto
 //! the pool with the `ILOGIC_TEST_PARALLEL` environment variable (`1`/`auto`,
 //! a worker count, or `0` to force off).  `ilogic::systems::explore::explore`
@@ -208,6 +206,6 @@ pub use ilogic_temporal as temporal;
 pub use ilogic_core::pool::{CancelToken, Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 pub use ilogic_core::scheduler::{JobHandle, JobId};
 pub use ilogic_core::session::{
-    Backend, CacheStats, CheckHandle, CheckReport, CheckRequest, CheckStats, ErrorReport,
-    InternHandle, RunSource, Session, Verdict,
+    Backend, CacheStats, CheckReport, CheckRequest, CheckStats, ErrorReport, RunSource, Session,
+    Verdict,
 };

@@ -196,7 +196,7 @@ fn auto_routes_the_seed_system_specs() {
             // Both sides sequential (overriding ILOGIC_TEST_PARALLEL): this
             // test pins *routing* identity, and a parallel early-exit sweep's
             // `traces_checked` may overshoot nondeterministically (see
-            // `BoundedChecker::sweep_parallel`) — the worker sweep is
+            // `BoundedChecker::sweep_budgeted`) — the worker sweep is
             // `auto_is_bit_identical_to_the_hand_routed_backend`'s job.
             let manual_session = Session::new();
             let manual = manual_session.check(
