@@ -19,19 +19,24 @@
 //!    paths).
 //! 4. The decision itself (`AlgorithmB::decide_budgeted`) refutes the
 //!    prefix-invariance formula in milliseconds via the Boolean worklist.
+//! 5. The closure-interned tableau build beats the `Ltl`-tree builder it
+//!    replaced (the test-only reference in
+//!    `tests/support/tableau_reference.rs`) on the R3 and R4 graphs.
 //!
 //! The bench doubles as an automated performance gate: `main` asserts
 //! generous wall-clock ceilings on the headline measurements, the
 //! skip-rate regression guard — `equations_skipped` must be strictly
 //! positive on ladder3, or the engine has silently fallen back to full
-//! sweeps — and the evaluated-path speedup floor (≥ 1.5x on at least two of
-//! R3/R4/R5/ladder3), and exits non-zero past them.  CI's `bench-smoke` job
+//! sweeps — the evaluated-path speedup floor (≥ 1.5x on at least two of
+//! R3/R4/R5/ladder3), and the tableau-build ratio floor (the interned
+//! build ≥ 4x faster than the reference on both R3 and R4, median of 15
+//! builds each), and exits non-zero past them.  CI's `bench-smoke` job
 //! runs it on every push (see `.github/workflows/ci.yml`).
 //!
 //! Results are written to `BENCH_PR7.json` at the workspace root.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{BatchSize, BenchResult, Criterion};
 use ilogic_core::dsl::*;
@@ -47,11 +52,13 @@ use ilogic_temporal::syntax::{Ltl, VarSpec};
 use ilogic_temporal::tableau::TableauGraph;
 use ilogic_temporal::theory::PropositionalTheory;
 
-/// Generous wall-clock ceilings for the CI perf gate: an order of magnitude
-/// above the numbers measured on the 1-thread container (decide ~60 ms, trip
-/// ~250 ms release), so only a genuine regression — not scheduler noise —
-/// fails the job.
-const DECIDE_CEILING: Duration = Duration::from_secs(10);
+#[path = "../../../tests/support/tableau_reference.rs"]
+mod tableau_reference;
+
+/// Wall-clock ceilings for the CI perf gate, well above the release
+/// measurements on a 2-thread host (decide ~2 ms, trip ~220 ms), so only a
+/// genuine regression — not scheduler noise — fails the job.
+const DECIDE_CEILING: Duration = Duration::from_secs(1);
 const TRIP_CEILING: Duration = Duration::from_secs(60);
 
 /// The evaluated-path speedup floor: the worklist engine's Boolean
@@ -61,6 +68,14 @@ const TRIP_CEILING: Duration = Duration::from_secs(60);
 const EVAL_SPEEDUP_FLOOR: f64 = 1.5;
 const EVAL_SPEEDUP_MIN_FORMULAS: usize = 2;
 const EVAL_SPEEDUP_CANDIDATES: [&str; 4] = ["R3", "R4", "R5", "ladder3"];
+
+/// The tableau-build ratio floor: the interned build of `Graph(¬A)` must be
+/// at least this much faster than the `Ltl`-tree reference builder, in the
+/// median of [`BUILD_SAMPLES`] builds, on every one of [`BUILD_GATED`]
+/// (measured at 46–80x on a 2-thread host).
+const BUILD_SPEEDUP_FLOOR: f64 = 4.0;
+const BUILD_SAMPLES: usize = 15;
+const BUILD_GATED: [&str; 2] = ["R3", "R4"];
 
 /// The tractable condition computations every discipline completes.
 fn tractable_formulas() -> Vec<(String, Ltl)> {
@@ -77,13 +92,18 @@ fn prefix_invariance_ltl() -> Ltl {
     to_ltl(&formula).unwrap()
 }
 
+/// Builds `Graph(¬formula)` with its public edge shapes materialised, so
+/// clones carry them and the anchors that read them (the full sweep and the
+/// baseline) time only their fixpoint.
 fn build_graph(formula: &Ltl) -> TableauGraph {
-    TableauGraph::try_build_budgeted(
+    let graph = TableauGraph::try_build_budgeted(
         &formula.clone().not(),
         &ResourceBudget::default(),
         Parallelism::Off,
     )
-    .expect("the measured graphs fit the default build caps")
+    .expect("the measured graphs fit the default build caps");
+    graph.edges();
+    graph
 }
 
 /// Per-formula work accounting of the two interned disciplines, captured
@@ -284,6 +304,65 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
     work
 }
 
+/// One gated formula's tableau-build medians, interned and reference.
+struct BuildRow {
+    name: &'static str,
+    nodes: usize,
+    edges: usize,
+    interned_ns: f64,
+    reference_ns: f64,
+}
+
+/// The median wall-clock time of [`BUILD_SAMPLES`] calls of `build`, after
+/// one untimed warm-up call.
+fn median_ns<T>(build: impl Fn() -> T) -> f64 {
+    drop(build());
+    let mut samples: Vec<f64> = (0..BUILD_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            let built = build();
+            let elapsed = start.elapsed();
+            drop(built);
+            elapsed.as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[BUILD_SAMPLES / 2]
+}
+
+/// Times the interned build against the reference builder on the gated
+/// formulas, after asserting they build the same-sized graph (the node- and
+/// edge-level identity is `tests/tableau_reference.rs`' job).
+fn bench_tableau_build() -> Vec<BuildRow> {
+    let budget = ResourceBudget::default();
+    patterns::appendix_b_table()
+        .into_iter()
+        .filter(|(name, _)| BUILD_GATED.contains(name))
+        .map(|(name, formula)| {
+            let graph = build_graph(&formula);
+            let negated = formula.not();
+            let reference = tableau_reference::build_reference(&negated, &budget, Parallelism::Off)
+                .expect("the reference builds the gated graphs within the default caps");
+            assert_eq!(
+                (graph.node_count(), graph.edge_count()),
+                (reference.labels.len(), reference.edges.len()),
+                "{name}: the interned and reference builders disagree"
+            );
+            BuildRow {
+                name,
+                nodes: graph.node_count(),
+                edges: graph.edge_count(),
+                interned_ns: median_ns(|| {
+                    TableauGraph::try_build_budgeted(&negated, &budget, Parallelism::Off)
+                }),
+                reference_ns: median_ns(|| {
+                    tableau_reference::build_reference(&negated, &budget, Parallelism::Off)
+                }),
+            }
+        })
+        .collect()
+}
+
 fn mean_of(results: &[BenchResult], name: &str) -> f64 {
     results
         .iter()
@@ -292,7 +371,7 @@ fn mean_of(results: &[BenchResult], name: &str) -> f64 {
         .mean_ns
 }
 
-fn record(results: &[BenchResult], work: &[WorkRow]) {
+fn record(results: &[BenchResult], work: &[WorkRow], builds: &[BuildRow]) {
     let mut rows = Vec::new();
     let mut eval_rows = Vec::new();
     let mut total_delta = 0.0;
@@ -340,6 +419,22 @@ fn record(results: &[BenchResult], work: &[WorkRow]) {
     let trip_full = mean_of(results, "prefix_invariance/condition_trip/full_sweep");
     let session_decide = mean_of(results, "session/decide/prefix_invariance");
     let hw = std::thread::available_parallelism().map_or(1, usize::from);
+    let build_rows: Vec<String> = builds
+        .iter()
+        .map(|row| {
+            format!(
+                "    {{\"formula\": \"{}\", \"nodes\": {}, \"edges\": {}, \
+                 \"interned_median_ns\": {:.0}, \"reference_median_ns\": {:.0}, \
+                 \"speedup_interned_vs_reference\": {:.2}}}",
+                row.name,
+                row.nodes,
+                row.edges,
+                row.interned_ns,
+                row.reference_ns,
+                row.reference_ns / row.interned_ns,
+            )
+        })
+        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"PR7 semi-naive worklist condition fixpoint vs the PR5 \
          full-sweep (Jacobi) discipline, PR3 BTreeSet baseline for context\",\n  \
@@ -360,7 +455,9 @@ fn record(results: &[BenchResult], work: &[WorkRow]) {
          formula every budget 10^4..10^7 previously answered Unknown on; its explicit \
          condition stays intractable, so both condition_trip rows time the honest budget trip \
          at the default cap (identical charge and reason across disciplines). session_decide \
-         is the service path end to end\",\n  \
+         is the service path end to end. tableau_build rows: Graph(~A) built by the \
+         closure-interned builder and by the Ltl-tree reference builder it replaced, median of \
+         15 builds each, default caps, 1 worker\",\n  \
          \"condition_fixpoint\": [\n{}\n  ],\n  \
          \"condition_totals\": {{\"full_sweep_ns\": {total_full:.0}, \
          \"delta_ns\": {total_delta:.0}, \"speedup_delta_vs_full_sweep\": {:.2}}},\n  \
@@ -369,18 +466,20 @@ fn record(results: &[BenchResult], work: &[WorkRow]) {
          \"decide_evaluated_ns\": {decide:.0},\n    \
          \"condition_trip_delta_ns\": {trip_delta:.0},\n    \
          \"condition_trip_full_sweep_ns\": {trip_full:.0},\n    \
-         \"session_decide_ns\": {session_decide:.0}\n  }}\n}}\n",
+         \"session_decide_ns\": {session_decide:.0}\n  }},\n  \
+         \"tableau_build\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
         total_full / total_delta,
         eval_rows.join(",\n"),
+        build_rows.join(",\n"),
     );
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_PR7.json"].iter().collect();
     std::fs::write(&path, &json).expect("write BENCH_PR7.json");
     println!("\nrecorded {}", path.display());
 
-    // The perf gate: generous ceilings on the headline numbers, so CI fails
-    // on a genuine regression of the decision or of the budget-trip path —
-    // plus the evaluated-path speedup floor.
+    // The perf gate: ceilings on the headline numbers, so CI fails on a
+    // genuine regression of the decision or of the budget-trip path — plus
+    // the evaluated-path speedup floor and the tableau-build ratio floor.
     let decide_time = Duration::from_nanos(decide as u64);
     let trip_time = Duration::from_nanos(trip_delta as u64);
     assert!(
@@ -397,19 +496,31 @@ fn record(results: &[BenchResult], work: &[WorkRow]) {
         "perf gate: the evaluated worklist beat the PR5 sweep {EVAL_SPEEDUP_FLOOR}x on only \
          {eval_floor_hits} of {EVAL_SPEEDUP_CANDIDATES:?} (need {EVAL_SPEEDUP_MIN_FORMULAS})"
     );
+    for row in builds {
+        let speedup = row.reference_ns / row.interned_ns;
+        assert!(
+            speedup >= BUILD_SPEEDUP_FLOOR,
+            "perf gate: the interned tableau build of {} is only {speedup:.2}x faster than the \
+             reference builder (floor {BUILD_SPEEDUP_FLOOR}x; {:.0} ns vs {:.0} ns)",
+            row.name,
+            row.interned_ns,
+            row.reference_ns,
+        );
+    }
     println!(
         "perf gate: decide {decide_time:?} < {DECIDE_CEILING:?}, trip {trip_time:?} < \
          {TRIP_CEILING:?}, evaluated ≥{EVAL_SPEEDUP_FLOOR}x on {eval_floor_hits}/{} named \
-         formulas — ok",
+         formulas, tableau build ≥{BUILD_SPEEDUP_FLOOR}x on {BUILD_GATED:?} — ok",
         EVAL_SPEEDUP_CANDIDATES.len()
     );
 }
 
 // `criterion_group!`/`criterion_main!` are intentionally not used: `main`
 // post-processes the results into BENCH_PR7.json and enforces the perf-gate
-// ceilings plus the ladder3 skip-rate regression guard.
+// ceilings and floors plus the ladder3 skip-rate regression guard.
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
     let work = bench_condition_fixpoint(&mut criterion);
-    record(&criterion.take_results(), &work);
+    let builds = bench_tableau_build();
+    record(&criterion.take_results(), &work, &builds);
 }

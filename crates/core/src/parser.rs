@@ -33,6 +33,10 @@
 //!
 //! Inside interval terms, `<=` is the backward operator; comparisons inside
 //! event formulas must be wrapped in `{ ... }`.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels, so a hostile input (a few
+//! kilobytes of `(`) is a [`ParseError`] rather than a stack overflow here
+//! or in any recursive pass over the formula downstream.
 
 use std::fmt;
 
@@ -56,22 +60,83 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting [`parse_formula`] and [`parse_term`] accept, capped
+/// two ways.  The parser's own recursion: each prefix operator (`~`, `[]`,
+/// `<>`, `forall`, `exists`, `[ term ]`, `*`, `begin`, `end`), parenthesis,
+/// brace and `->` operand opens a level.  And the depth of the parsed tree,
+/// where every connective is a level — so a chain of `&` nests one level
+/// per operator.  Deeper input is refused with a [`ParseError`], which keeps
+/// every recursive pass over a parsed formula within a bounded stack.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses an interval formula from its concrete syntax.
 pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let formula = parser.formula()?;
     parser.expect_end()?;
+    check_tree_depth(Node::Formula(&formula))?;
     Ok(formula)
 }
 
 /// Parses an interval term from its concrete syntax.
 pub fn parse_term(input: &str) -> Result<IntervalTerm, ParseError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let term = parser.term()?;
     parser.expect_end()?;
+    check_tree_depth(Node::Term(&term))?;
     Ok(term)
+}
+
+fn nesting_error(position: usize) -> ParseError {
+    ParseError { position, message: format!("nesting deeper than {MAX_NESTING} levels") }
+}
+
+/// A node of a parsed tree.
+enum Node<'a> {
+    Formula(&'a Formula),
+    Term(&'a IntervalTerm),
+}
+
+/// Refuses a tree deeper than [`MAX_NESTING`], walking it with an explicit
+/// stack (the tree this guards against would overflow a recursive walk).
+fn check_tree_depth(root: Node<'_>) -> Result<(), ParseError> {
+    let mut stack = vec![(root, 1)];
+    while let Some((node, depth)) = stack.pop() {
+        if depth > MAX_NESTING {
+            return Err(nesting_error(0));
+        }
+        let mut push = |child| stack.push((child, depth + 1));
+        match node {
+            Node::Formula(Formula::True | Formula::False | Formula::Pred(_)) => {}
+            Node::Formula(
+                Formula::Not(a)
+                | Formula::Always(a)
+                | Formula::Eventually(a)
+                | Formula::Forall(_, a)
+                | Formula::Exists(_, a),
+            ) => push(Node::Formula(a)),
+            Node::Formula(Formula::And(a, b) | Formula::Or(a, b)) => {
+                push(Node::Formula(a));
+                push(Node::Formula(b));
+            }
+            Node::Formula(Formula::In(term, a)) => {
+                push(Node::Term(term));
+                push(Node::Formula(a));
+            }
+            Node::Term(IntervalTerm::Event(a)) => push(Node::Formula(a)),
+            Node::Term(IntervalTerm::Begin(t) | IntervalTerm::End(t) | IntervalTerm::Must(t)) => {
+                push(Node::Term(t));
+            }
+            Node::Term(IntervalTerm::Forward(a, b) | IntervalTerm::Backward(a, b)) => {
+                for t in [a, b].into_iter().flatten() {
+                    push(Node::Term(t));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A concrete-syntax corpus exercising every grammar production: propositions,
@@ -312,6 +377,8 @@ fn lex_int(bytes: &[u8], start: usize) -> Result<(i64, usize), ParseError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Nesting levels open at the current position (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -360,6 +427,22 @@ impl Parser {
         ParseError { position: self.at(), message }
     }
 
+    /// Parses `inner` one recursion level deeper, or refuses the input past
+    /// [`MAX_NESTING`] levels.  An error aborts the whole parse, so the
+    /// error path need not close the level.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(nesting_error(self.at()));
+        }
+        self.depth += 1;
+        let parsed = inner(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
     fn formula(&mut self) -> Result<Formula, ParseError> {
         let mut left = self.impl_formula()?;
         while self.eat(&Tok::DArrow) {
@@ -372,7 +455,7 @@ impl Parser {
     fn impl_formula(&mut self) -> Result<Formula, ParseError> {
         let left = self.or_formula()?;
         if self.eat(&Tok::Arrow) {
-            let right = self.impl_formula()?;
+            let right = self.nested(Parser::impl_formula)?;
             Ok(left.implies(right))
         } else {
             Ok(left)
@@ -398,6 +481,10 @@ impl Parser {
     }
 
     fn unary_formula(&mut self) -> Result<Formula, ParseError> {
+        self.nested(Parser::unary_formula_body)
+    }
+
+    fn unary_formula_body(&mut self) -> Result<Formula, ParseError> {
         match self.peek() {
             Some(Tok::Tilde) => {
                 self.advance();
@@ -548,6 +635,10 @@ impl Parser {
     }
 
     fn prefix_term(&mut self) -> Result<IntervalTerm, ParseError> {
+        self.nested(Parser::prefix_term_body)
+    }
+
+    fn prefix_term_body(&mut self) -> Result<IntervalTerm, ParseError> {
         match self.peek().cloned() {
             Some(Tok::Star) => {
                 self.advance();
@@ -646,6 +737,42 @@ mod tests {
     fn parse_term_entry_point() {
         let term = parse_term("(A => B) => C").unwrap();
         assert_eq!(term, fwd(fwd(event(prop("A")), event(prop("B"))), event(prop("C"))));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_nesting() {
+        // Each shape at its deepest accepted count, then one deeper: the
+        // parser's recursion binds parentheses and interval terms, the tree
+        // depth binds `[]` prefixes and `&`/`->` chains (`a -> b` is
+        // `~a | b`, one level deeper than its operand on the left).
+        let parens = |n: usize| format!("{}P{}", "(".repeat(n), ")".repeat(n));
+        let boxes = |n: usize| format!("{}P", "[]".repeat(n));
+        let chain = |n: usize| format!("{}P", "P & ".repeat(n));
+        let implications = |n: usize| format!("{}P", "P -> ".repeat(n));
+        let terms = |n: usize| format!("[ {}A{} ] P", "(".repeat(n), ")".repeat(n));
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, Shape, usize); 5] = [
+            ("parens", parens, MAX_NESTING - 1),
+            ("boxes", boxes, MAX_NESTING - 1),
+            ("chain", chain, MAX_NESTING - 1),
+            ("implications", implications, MAX_NESTING - 2),
+            ("terms", terms, MAX_NESTING - 2),
+        ];
+        for (shape, formula, deepest) in shapes {
+            assert!(parse_formula(&formula(deepest)).is_ok(), "{shape} at the cap must parse");
+            let error = parse_formula(&formula(deepest + 1)).expect_err(shape);
+            assert!(error.message.contains("nesting"), "{shape}: {error}");
+        }
+        assert!(parse_formula(&parens(10_000)).is_err());
+        // Chains nested as first operands stay shallow in the parser's
+        // recursion but not in the tree: ten groups of twenty `&` build a
+        // 201-deep tree.
+        let grouped =
+            (0..10).fold("P".to_string(), |inner, _| format!("({inner}{})", " & P".repeat(20)));
+        assert!(parse_formula(&grouped).expect_err("grouped").message.contains("nesting"));
+        let term = |n: usize| format!("{}A{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_term(&term(MAX_NESTING - 1)).is_ok());
+        assert!(parse_term(&term(MAX_NESTING)).is_err());
     }
 
     #[test]

@@ -303,6 +303,67 @@ mod tests {
         assert_eq!(ErrorReport::from_json(&bad_formula.body).unwrap().code, "parse");
     }
 
+    /// Runs `POST /check` with `formula` through `handle` on a thread with
+    /// the daemon's check-thread stack, as a connection thread would.  A
+    /// small budget keeps the blowup shapes quick; every recursive pass over
+    /// the formula still runs before any budget is consulted.
+    fn check_on_daemon_stack(formula: String) -> Response {
+        let body = format!(
+            r#"{{"formula": "{formula}", "budget": {{"max_edges": 20000, "timeout_ms": 2000}}}}"#
+        );
+        std::thread::Builder::new()
+            .stack_size(crate::server::CHECK_THREAD_STACK_BYTES)
+            .spawn(move || handle(&post("/check", &body), &context()))
+            .expect("spawning a check thread")
+            .join()
+            .expect("the check thread does not panic")
+    }
+
+    /// A formula shape, `n` repetitions deep.
+    type Shape = fn(usize) -> String;
+
+    /// Hostile nesting shapes.
+    const NESTING_SHAPES: [(&str, Shape); 6] = [
+        ("parentheses", |n| format!("{}P{}", "(".repeat(n), ")".repeat(n))),
+        ("henceforth", |n| format!("{}P", "[]".repeat(n))),
+        ("alternating", |n| format!("{}P", "<>~".repeat(n))),
+        ("conjunction chain", |n| format!("{}P", "P & ".repeat(n))),
+        ("implication chain", |n| format!("{}P", "P -> ".repeat(n))),
+        ("interval", |n| format!("{}P", "[ A => B ] ".repeat(n))),
+    ];
+
+    #[test]
+    fn nesting_bombs_answer_a_structured_parse_400() {
+        for (shape, formula) in NESTING_SHAPES {
+            let response = check_on_daemon_stack(formula(2000));
+            assert_eq!(response.status, 400, "{shape}: {}", response.body);
+            let error = ErrorReport::from_json(&response.body).expect("structured 400");
+            assert_eq!(error.code, "parse", "{shape}");
+            assert!(error.message.contains("nesting"), "{shape}: {error}");
+        }
+    }
+
+    #[test]
+    fn formulas_at_the_nesting_cap_are_answered() {
+        let cap = ilogic_core::parser::MAX_NESTING;
+        for (shape, formula) in NESTING_SHAPES {
+            // The deepest repetition count the parser accepts: within a few
+            // levels of the cap (or half of it, for two-level repetitions).
+            let deepest = (1..=cap)
+                .take_while(|&n| ilogic_core::parser::parse_formula(&formula(n)).is_ok())
+                .last()
+                .expect("one repetition parses");
+            assert!(deepest + 3 >= cap || 2 * deepest + 3 >= cap, "{shape}: {deepest}");
+            let response = check_on_daemon_stack(formula(deepest));
+            assert_ne!(response.status, 400, "{shape}: {}", response.body);
+            let answered = match response.status {
+                200 => CheckReport::from_json(&response.body).is_ok(),
+                _ => ErrorReport::from_json(&response.body).is_ok(),
+            };
+            assert!(answered, "{shape}: {} {}", response.status, response.body);
+        }
+    }
+
     #[test]
     fn expired_deadlines_are_shed_with_structured_503s() {
         let ctx = context();

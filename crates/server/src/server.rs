@@ -32,6 +32,14 @@ use crate::router::{handle, ServerContext};
 use crate::shed::AdmissionGate;
 use crate::store::JobStore;
 
+/// Stack size of the threads that run checks (connection threads and batch
+/// workers).  Analysis, translation, tableau expansion, `Display` and the
+/// `Drop` of boxed formula trees all recurse over the formula; the parser's
+/// [`MAX_NESTING`](ilogic_core::parser::MAX_NESTING) cap bounds that depth,
+/// and this stack holds it — the router tests check formulas at the cap on
+/// a thread of exactly this size.
+pub const CHECK_THREAD_STACK_BYTES: usize = 8 * 1024 * 1024;
+
 /// A running daemon; dropping the handle does **not** stop it — call
 /// [`ServerHandle::shutdown`].
 #[derive(Debug)]
@@ -77,6 +85,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ilogic-conn-{index}"))
+                .stack_size(CHECK_THREAD_STACK_BYTES)
                 .spawn(move || connection_loop(&context, &sockets))
                 .expect("spawning a connection thread"),
         );
@@ -86,6 +95,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ilogic-batch-{index}"))
+                .stack_size(CHECK_THREAD_STACK_BYTES)
                 .spawn(move || context.store.worker_loop(&context.metrics))
                 .expect("spawning a batch worker"),
         );

@@ -152,7 +152,7 @@ impl std::ops::AddAssign for StoreStats {
 /// the same trade the core arena makes: these keys are tiny `Copy` values hit
 /// on every product, where SipHash's DoS resistance buys nothing.
 #[derive(Clone, Copy, Default)]
-struct StoreHasher {
+pub(crate) struct StoreHasher {
     hash: u64,
 }
 
@@ -193,7 +193,7 @@ impl Hasher for StoreHasher {
     }
 }
 
-type StoreMap<K, V> = HashMap<K, V, BuildHasherDefault<StoreHasher>>;
+pub(crate) type StoreMap<K, V> = HashMap<K, V, BuildHasherDefault<StoreHasher>>;
 
 /// The interned implicant/DNF arena; see the [module documentation](self).
 #[derive(Debug, Default)]

@@ -15,30 +15,50 @@
 //! by any path are removed, and nodes with no outgoing edges are removed, until
 //! a fixpoint is reached.  `B` is satisfiable iff the initial node survives.
 //!
+//! # The interned closure
+//!
+//! Construction compiles `B` once into a dense closure table: every formula
+//! the expansion rules can push, defer or promise is hash-consed, and the
+//! rewrite it expands by (`¬(a ∧ b) → ¬a ∨ ¬b`, `¬□a → ◇¬a`, `¬U(p, q)`, …,
+//! through the same simplifying [`Ltl::not`]) is resolved into a small
+//! per-entry step, so the expander is a table lookup over `u32` ids.  Node
+//! labels, next-sets, eventualities, fulfilled sets and the per-branch
+//! `seen` set are bitsets over the closure, literals are atom ranks, and
+//! nodes are found by hashing label bitsets.  The table is numbered in
+//! `Ltl` order (atoms in `Atom` order), so ascending id order *is* the
+//! `BTreeSet<Ltl>` order of the public labels: the pending-stack discipline,
+//! and with it every node and edge id, is the same as expanding the trees
+//! directly (`tests/tableau_reference.rs` pins this against a tree-walking
+//! builder kept as a test-only reference).  The public [`Edge`] and
+//! [`TableauGraph::label`] shapes are materialised once, on first access;
+//! the decision engines and [`prune_budgeted`] read the id-level graph and
+//! never ask for them.
+//!
 //! # Parallelism
 //!
 //! Both phases fan out over the [`crate::pool`] worker pool —
 //! [`TableauGraph::try_build_budgeted`] expands each breadth-first frontier's
-//! node labels concurrently (expansion is a pure function of the label set)
-//! and merges the results in sequential frontier order on the calling
-//! thread, and [`prune_budgeted`] stripes the per-edge theory checks and the
-//! per-eventuality reachability analyses.  The merge discipline makes the
-//! graph *bit-identical* at every worker count: same node ids, same edge
-//! ids, same exhaustion answers under the structural caps of a
-//! [`crate::pool::ResourceBudget`].  Construction cost is dominated by the
-//! expansion of disjunction-heavy labels, which is exactly the part that
-//! parallelizes.
+//! node labels concurrently (expansion is a pure function of the label set,
+//! and the closure table is read-only) and merges the results in sequential
+//! frontier order on the calling thread, and [`prune_budgeted`] stripes the
+//! per-edge theory checks and the per-eventuality reachability analyses.
+//! The merge discipline makes the graph *bit-identical* at every worker
+//! count: same node ids, same edge ids, same exhaustion answers under the
+//! structural caps of a [`crate::pool::ResourceBudget`].
 //!
-//! Construction is the dominant cost of a decision.  perfbench's
-//! `--trace 1` run at seed 1 (2 hardware threads) puts `tableau.busy_ms` at
-//! 2,759 ms of the 4,379 ms of `decide_corpus` check time (63%).  On the
-//! `[ => Q ] []P` family the 97-node / 3362-edge graph took 76–103 ms per
-//! build in a probe, against 0.4–1.2 ms for the evaluated fixpoint of
-//! [`crate::algorithm_b`] that decides it; only the *explicit* condition
-//! artifact downstream blows up beyond that.
+//! # Cost
+//!
+//! perfbench's `--trace 1` run at seed 1 (2 hardware threads) measures
+//! `tableau.busy_ms` at 62–78 ms, about 5% of 1.3–1.4 s of `decide_corpus`
+//! check time, and `tableau.p99_us` at 2.2–2.6 ms, for 4,030 nodes and
+//! 90,559 edges.  The R3 and R4 graphs build in 0.2–0.35 ms, 46–80x faster
+//! than the test-only tree builder (`BENCH_PR7.json`).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
+use crate::dnf::store::StoreMap;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::syntax::{Atom, Literal, Ltl};
 use crate::theory::{Theory, TheoryResult};
@@ -66,80 +86,127 @@ pub struct Edge {
 }
 
 /// The tableau graph of a formula.
+///
+/// The graph is stored at the id level of its closure table: label bitsets,
+/// per-edge source/target/literal-set records and per-edge closure-id rows.
+/// The public shapes — [`TableauGraph::label`]'s `BTreeSet<Ltl>` and the
+/// [`Edge`]s of [`TableauGraph::edges`] — are materialised from them once,
+/// on first access; the decision engines never ask for them, so a decision
+/// neither builds nor drops (nor, cloning the graph, copies) a tree per
+/// label entry.
 #[derive(Clone, Debug)]
 pub struct TableauGraph {
-    labels: Vec<BTreeSet<Ltl>>,
-    edges: Vec<Edge>,
+    /// The closure table the ids below refer to, shared by clones.
+    closure: Arc<Closure>,
+    /// Node `n`'s label bitset is `label_bits[n * words..(n + 1) * words]`.
+    label_bits: Vec<u64>,
+    /// Per edge: source, target and literal conjunction.
+    edge_ids: Vec<EdgeIds>,
+    /// The distinct literal conjunctions of the edges.
+    literal_sets: Vec<Vec<Literal>>,
+    /// Per-edge closure ids of the promised eventualities.
+    promised: CsrRows,
+    /// Per-edge closure ids of the fulfilled formulas.
+    fulfilled: CsrRows,
     outgoing: Vec<Vec<EdgeId>>,
     initial: NodeId,
     ev_index: EventualityIndex,
     plan: SweepPlan,
+    /// [`TableauGraph::label`]'s sets, materialised on first access.
+    labels: OnceLock<Vec<BTreeSet<Ltl>>>,
+    /// [`TableauGraph::edges`], materialised on first access.
+    edges: OnceLock<Vec<Edge>>,
+}
+
+/// The id-level record of one edge.
+#[derive(Clone, Copy, Debug)]
+struct EdgeIds {
+    from: NodeId,
+    to: NodeId,
+    /// Index into [`TableauGraph::literal_sets`].
+    literals: u32,
 }
 
 /// Per-graph eventuality index, derived once at the end of construction:
 /// the distinct eventualities of the graph in ascending order, plus
 /// CSR-packed per-edge lists of the indices each edge mentions
 /// (`eventualities`) and fulfills (`fulfilled`).  Algorithm B's fixpoint
-/// engines and the Boolean projection consult it instead of re-deriving the
-/// union and re-probing the per-edge `BTreeSet`s — deep structural `Ltl`
-/// comparisons that used to dominate whole evaluator calls — on every run
-/// over the same graph.
+/// engines, the Boolean projection and [`prune_budgeted`] consult it instead
+/// of re-deriving the union and re-probing the per-edge `BTreeSet`s — deep
+/// structural `Ltl` comparisons that used to dominate whole evaluator calls.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EventualityIndex {
     /// The distinct eventualities, ascending in `Ltl`'s order.
     pub(crate) all: Vec<Ltl>,
-    /// Concatenated ascending per-edge lists of mentioned indices.
-    mentions: Vec<u32>,
-    /// `mentions` range of edge `eid`: `starts[eid]..starts[eid + 1]`.
-    mentions_starts: Vec<u32>,
-    /// Concatenated ascending per-edge lists of fulfilled indices.
-    fulfilled: Vec<u32>,
-    /// `fulfilled` range of edge `eid`.
-    fulfilled_starts: Vec<u32>,
+    /// Per edge, the ascending indices of the eventualities it mentions.
+    mentions: CsrRows,
+    /// Per edge, the ascending indices of the eventualities it fulfills.
+    fulfilled: CsrRows,
 }
 
 impl EventualityIndex {
-    fn build(edges: &[Edge]) -> EventualityIndex {
-        let mut set: BTreeSet<&Ltl> = BTreeSet::new();
-        for edge in edges {
-            set.extend(edge.eventualities.iter());
+    /// Builds the index from the per-edge closure-id rows the merge
+    /// recorded.  Closure ids ascend in `Ltl` order, so renumbering the
+    /// mentioned ids densely keeps `all` and every row ascending.
+    fn from_ids(closure: &Closure, promised: &CsrRows, fulfilled: &CsrRows) -> EventualityIndex {
+        const ABSENT: u32 = u32::MAX;
+        let mut rank = vec![ABSENT; closure.formulas.len()];
+        for &id in &promised.items {
+            rank[id as usize] = 0;
         }
-        let all: Vec<Ltl> = set.into_iter().cloned().collect();
-        let mut mentions = Vec::new();
-        let mut mentions_starts = Vec::with_capacity(edges.len() + 1);
-        let mut fulfilled = Vec::new();
-        let mut fulfilled_starts = Vec::with_capacity(edges.len() + 1);
-        mentions_starts.push(0);
-        fulfilled_starts.push(0);
-        for edge in edges {
-            // Both `BTreeSet`s iterate ascending in the same order as `all`,
-            // so the CSR rows come out ascending.
-            for ev in &edge.eventualities {
-                if let Ok(ei) = all.binary_search(ev) {
-                    mentions.push(ei as u32);
-                }
+        let mut all = Vec::new();
+        for (id, slot) in rank.iter_mut().enumerate() {
+            if *slot != ABSENT {
+                *slot = all.len() as u32;
+                all.push(closure.formulas[id].clone());
             }
-            mentions_starts.push(mentions.len() as u32);
-            for ev in &edge.fulfilled {
-                if let Ok(ei) = all.binary_search(ev) {
-                    fulfilled.push(ei as u32);
-                }
-            }
-            fulfilled_starts.push(fulfilled.len() as u32);
         }
-        EventualityIndex { all, mentions, mentions_starts, fulfilled, fulfilled_starts }
+        let mentions = CsrRows {
+            items: promised.items.iter().map(|&id| rank[id as usize]).collect(),
+            starts: promised.starts.clone(),
+        };
+        // A fulfilled formula no edge promises (the `q` of a weak until) is
+        // not an eventuality of the graph: drop it from the rows.
+        let mut kept = CsrRows::new();
+        for eid in 0..fulfilled.starts.len() - 1 {
+            let ranks = fulfilled.row(eid).iter().map(|&id| rank[id as usize]);
+            kept.push_row(ranks.filter(|&ei| ei != ABSENT));
+        }
+        EventualityIndex { all, mentions, fulfilled: kept }
     }
 
     /// Ascending indices (into [`EventualityIndex::all`]) of the
     /// eventualities edge `eid` mentions.
     pub(crate) fn mentions(&self, eid: EdgeId) -> &[u32] {
-        &self.mentions[self.mentions_starts[eid] as usize..self.mentions_starts[eid + 1] as usize]
+        self.mentions.row(eid)
     }
 
     /// Ascending indices of the eventualities edge `eid` fulfills.
     pub(crate) fn fulfilled(&self, eid: EdgeId) -> &[u32] {
-        &self.fulfilled
-            [self.fulfilled_starts[eid] as usize..self.fulfilled_starts[eid + 1] as usize]
+        self.fulfilled.row(eid)
+    }
+}
+
+/// CSR-packed per-edge id lists, appended one edge row at a time.
+#[derive(Clone, Debug, Default)]
+struct CsrRows {
+    items: Vec<u32>,
+    /// Row `r` is `items[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl CsrRows {
+    fn new() -> CsrRows {
+        CsrRows { items: Vec::new(), starts: vec![0] }
+    }
+
+    fn push_row(&mut self, row: impl Iterator<Item = u32>) {
+        self.items.extend(row);
+        self.starts.push(self.items.len() as u32);
+    }
+
+    fn row(&self, r: usize) -> &[u32] {
+        &self.items[self.starts[r] as usize..self.starts[r + 1] as usize]
     }
 }
 
@@ -179,7 +246,7 @@ impl SweepPlan {
         let mut rev_starts = vec![0u32; n + 1];
         for node in 0..n {
             for &eid in graph.outgoing(node) {
-                rev_starts[graph.edges[eid].to + 1] += 1;
+                rev_starts[graph.target(eid) + 1] += 1;
             }
         }
         for m in 0..n {
@@ -190,15 +257,15 @@ impl SweepPlan {
         // The outer loop ascends in `node`, so every row comes out ascending.
         for node in 0..n {
             for &eid in graph.outgoing(node) {
-                let to = graph.edges[eid].to;
+                let to = graph.target(eid);
                 rev_preds[cursor[to] as usize] = node as u32;
                 cursor[to] += 1;
             }
         }
         let ne = graph.ev_index.all.len();
-        let targets = graph.edges.iter().map(|edge| edge.to as u32).collect();
-        let mut unfulfilled = vec![true; graph.edges.len() * ne];
-        for eid in 0..graph.edges.len() {
+        let targets = graph.edge_ids.iter().map(|edge| edge.to as u32).collect();
+        let mut unfulfilled = vec![true; graph.edge_count() * ne];
+        for eid in 0..graph.edge_count() {
             for &ei in graph.ev_index.fulfilled(eid) {
                 unfulfilled[eid * ne + ei as usize] = false;
             }
@@ -210,15 +277,6 @@ impl SweepPlan {
     pub(crate) fn preds_of(&self, m: NodeId) -> &[u32] {
         &self.rev_preds[self.rev_starts[m] as usize..self.rev_starts[m + 1] as usize]
     }
-}
-
-/// One saturated expansion of a node label set.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Expansion {
-    literals: BTreeMap<Atom, bool>,
-    next: BTreeSet<Ltl>,
-    eventualities: BTreeSet<Ltl>,
-    fulfilled: BTreeSet<Ltl>,
 }
 
 impl TableauGraph {
@@ -235,17 +293,19 @@ impl TableauGraph {
     /// [`Exhaustion::Cancelled`] for the cooperative cutoffs, polled once per
     /// BFS level).
     ///
-    /// Construction is a breadth-first saturation: each BFS level's node
-    /// labels are expanded (a pure function of the label set) concurrently,
-    /// and the per-node expansion lists are then merged on the calling thread
-    /// *in sequential frontier order* — interning target labels, assigning
-    /// node and edge identifiers, and applying the structural cap checks in
-    /// exactly the order the single-threaded loop would.  The resulting graph
-    /// is therefore bit-identical (same node ids, same edge ids, same edge
-    /// order) at every worker count, and structural-cap `Err` answers agree
-    /// too: expansion caps are taken from the level-start edge budget, which
-    /// can only postpone a blowup into the merge's own limit checks, never
-    /// change the answer.  Only the deadline/cancellation cutoffs are
+    /// The formula is first compiled into its closure table (see the
+    /// [module documentation](self)).  Construction is then a breadth-first
+    /// saturation over closure ids: each BFS level's node labels are
+    /// expanded (a pure function of the label bitset) concurrently, and the
+    /// per-node expansion lists are then merged on the calling thread *in
+    /// sequential frontier order* — interning target labels, assigning node
+    /// and edge identifiers, and applying the structural cap checks in
+    /// exactly the order the single-threaded loop would.  The resulting
+    /// graph is therefore bit-identical (same node ids, same edge ids, same
+    /// edge order) at every worker count, and structural-cap `Err` answers
+    /// agree too: expansion caps are taken from the level-start edge budget,
+    /// which can only postpone a blowup into the merge's own limit checks,
+    /// never change the answer.  Only the deadline/cancellation cutoffs are
     /// timing-dependent.
     pub fn try_build_budgeted(
         formula: &Ltl,
@@ -253,21 +313,29 @@ impl TableauGraph {
         parallelism: Parallelism,
     ) -> Result<TableauGraph, Exhaustion> {
         let pool = WorkerPool::new(parallelism);
+        let closure = Arc::new(Closure::compile(formula));
         let mut graph = TableauGraph {
-            labels: Vec::new(),
-            edges: Vec::new(),
+            closure: Arc::clone(&closure),
+            label_bits: Vec::new(),
+            edge_ids: Vec::new(),
+            literal_sets: Vec::new(),
+            promised: CsrRows::new(),
+            fulfilled: CsrRows::new(),
             outgoing: Vec::new(),
             initial: 0,
             ev_index: EventualityIndex::default(),
             plan: SweepPlan::default(),
+            labels: OnceLock::new(),
+            edges: OnceLock::new(),
         };
-        let mut index: HashMap<BTreeSet<Ltl>, NodeId> = HashMap::new();
+        let mut node_index: StoreMap<Box<[u64]>, NodeId> = StoreMap::default();
+        let mut literal_index: StoreMap<Box<[u64]>, u32> = StoreMap::default();
 
-        let init_label: BTreeSet<Ltl> = [formula.clone()].into_iter().collect();
-        let init = graph.intern(&mut index, init_label);
-        graph.initial = init;
+        let mut init_label = vec![0u64; closure.words];
+        bit_insert(&mut init_label, closure.root);
+        graph.initial = graph.intern(&mut node_index, &init_label);
 
-        let mut frontier: Vec<NodeId> = vec![init];
+        let mut frontier: Vec<NodeId> = vec![graph.initial];
         let mut processed: BTreeSet<NodeId> = BTreeSet::new();
         while !frontier.is_empty() {
             if let Some(interrupt) = budget.interrupted() {
@@ -283,8 +351,9 @@ impl TableauGraph {
             }
             // Every node of the level is expanded against the level-start
             // budget; the merge below re-applies the exact per-edge checks.
-            let level_cap = budget.max_edges().saturating_sub(graph.edges.len());
-            let expansions = expand_level(&graph.labels, &level, level_cap, &pool);
+            let level_cap = budget.max_edges().saturating_sub(graph.edge_count());
+            let expansions =
+                pool.map(level.len(), |i| closure.expand(graph.label_bits(level[i]), level_cap));
             for (&node, exps) in level.iter().zip(expansions) {
                 // A worker that blew the level budget implies the sequential
                 // loop would have exhausted `max_edges` at this node or an
@@ -293,53 +362,53 @@ impl TableauGraph {
                     return Err(Exhaustion::Edges);
                 };
                 for exp in exps {
-                    let target_label = exp.next.clone();
-                    let target = graph.intern(&mut index, target_label);
-                    if graph.labels.len() > budget.max_nodes() {
+                    let target = graph.intern(&mut node_index, &exp[closure.next()]);
+                    if graph.node_count() > budget.max_nodes() {
                         return Err(Exhaustion::Nodes);
                     }
-                    if graph.edges.len() >= budget.max_edges() {
+                    if graph.edge_count() >= budget.max_edges() {
                         return Err(Exhaustion::Edges);
                     }
                     if !processed.contains(&target) {
                         frontier.push(target);
                     }
-                    let literals = exp
-                        .literals
-                        .iter()
-                        .map(|(atom, positive)| Literal { atom: atom.clone(), positive: *positive })
-                        .collect();
-                    let edge = Edge {
-                        from: node,
-                        to: target,
-                        literals,
-                        eventualities: exp.eventualities,
-                        fulfilled: exp.fulfilled,
+                    let committed = &exp[closure.literal_sections()];
+                    let literals = match literal_index.get(committed) {
+                        Some(&set) => set,
+                        None => {
+                            let set = graph.literal_sets.len() as u32;
+                            literal_index.insert(committed.into(), set);
+                            graph.literal_sets.push(closure.literal_set(&exp));
+                            set
+                        }
                     };
-                    let id = graph.edges.len();
-                    graph.edges.push(edge);
+                    graph.promised.push_row(bit_iter(&exp[closure.eventualities()]));
+                    graph.fulfilled.push_row(bit_iter(&exp[closure.fulfilled()]));
+                    let id = graph.edge_count();
+                    graph.edge_ids.push(EdgeIds { from: node, to: target, literals });
                     graph.outgoing[node].push(id);
                 }
             }
         }
-        graph.ev_index = EventualityIndex::build(&graph.edges);
+        graph.ev_index = EventualityIndex::from_ids(&closure, &graph.promised, &graph.fulfilled);
         graph.plan = SweepPlan::build(&graph);
         Ok(graph)
     }
 
-    fn intern(
-        &mut self,
-        index: &mut HashMap<BTreeSet<Ltl>, NodeId>,
-        label: BTreeSet<Ltl>,
-    ) -> NodeId {
-        if let Some(&id) = index.get(&label) {
+    fn intern(&mut self, index: &mut StoreMap<Box<[u64]>, NodeId>, label: &[u64]) -> NodeId {
+        if let Some(&id) = index.get(label) {
             return id;
         }
-        let id = self.labels.len();
-        index.insert(label.clone(), id);
-        self.labels.push(label);
+        let id = self.node_count();
+        index.insert(label.into(), id);
+        self.label_bits.extend_from_slice(label);
         self.outgoing.push(Vec::new());
         id
+    }
+
+    fn label_bits(&self, node: NodeId) -> &[u64] {
+        let words = self.closure.words;
+        &self.label_bits[node * words..(node + 1) * words]
     }
 
     /// The initial node.
@@ -349,27 +418,65 @@ impl TableauGraph {
 
     /// The number of nodes.
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.outgoing.len()
     }
 
     /// The number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_ids.len()
     }
 
     /// The label set of a node.
     pub fn label(&self, node: NodeId) -> &BTreeSet<Ltl> {
-        &self.labels[node]
+        let labels = self.labels.get_or_init(|| {
+            (0..self.node_count())
+                .map(|node| self.closure.materialise(bit_iter(self.label_bits(node))))
+                .collect()
+        });
+        &labels[node]
     }
 
     /// All edges.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        self.edges.get_or_init(|| {
+            (0..self.edge_count())
+                .map(|eid| {
+                    let ids = self.edge_ids[eid];
+                    Edge {
+                        from: ids.from,
+                        to: ids.to,
+                        literals: self.literals(eid).to_vec(),
+                        eventualities: self
+                            .closure
+                            .materialise(self.promised.row(eid).iter().copied()),
+                        fulfilled: self
+                            .closure
+                            .materialise(self.fulfilled.row(eid).iter().copied()),
+                    }
+                })
+                .collect()
+        })
     }
 
     /// The edge with the given id.
     pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id]
+        &self.edges()[id]
+    }
+
+    /// The literal conjunction labelling edge `id` (its [`Edge::literals`],
+    /// without materialising the edge).
+    pub(crate) fn literals(&self, id: EdgeId) -> &[Literal] {
+        &self.literal_sets[self.edge_ids[id].literals as usize]
+    }
+
+    /// The source node of edge `id`.
+    pub(crate) fn source(&self, id: EdgeId) -> NodeId {
+        self.edge_ids[id].from
+    }
+
+    /// The target node of edge `id`.
+    pub(crate) fn target(&self, id: EdgeId) -> NodeId {
+        self.edge_ids[id].to
     }
 
     /// Ids of the edges leaving `node`.
@@ -422,222 +529,425 @@ pub struct ClosureProfile {
 /// under negation), `□a` re-inserts itself, `◇a`/`U(p, q)`/`¬U(p, q)` insert
 /// their deferred forms, and negations of `□`/`◇` insert the pushed-in dual.
 pub fn closure_profile(formula: &Ltl) -> ClosureProfile {
-    fn components(f: &Ltl, positive: bool, out: &mut BTreeSet<Ltl>) {
+    /// Walks `f` once for a set of polarities at a time (`positive`,
+    /// `negative`): `□`, `◇` and `U` need their operands at both, and
+    /// walking them once per polarity would visit a chain of n such
+    /// operators 2^n times.
+    fn components(f: &Ltl, positive: bool, negative: bool, out: &mut BTreeSet<Ltl>) {
         match f {
             Ltl::True | Ltl::False | Ltl::Atom(_) => {}
-            Ltl::Not(a) => components(a, !positive, out),
+            Ltl::Not(a) => components(a, negative, positive, out),
             Ltl::And(a, b) | Ltl::Or(a, b) => {
-                components(a, positive, out);
-                components(b, positive, out);
+                components(a, positive, negative, out);
+                components(b, positive, negative, out);
             }
             Ltl::Next(a) => {
-                out.insert(if positive { (**a).clone() } else { (**a).clone().not() });
-                components(a, positive, out);
+                if positive {
+                    out.insert((**a).clone());
+                }
+                if negative {
+                    out.insert((**a).clone().not());
+                }
+                components(a, positive, negative, out);
             }
             Ltl::Always(a) => {
                 if positive {
                     out.insert(f.clone());
-                } else {
+                }
+                if negative {
                     // ¬□a expands as ◇¬a, which defers itself.
                     out.insert((**a).clone().not().eventually());
                 }
-                components(a, positive, out);
-                components(a, !positive, out);
+                components(a, true, true, out);
             }
             Ltl::Eventually(a) => {
                 if positive {
                     out.insert(f.clone());
-                } else {
+                }
+                if negative {
                     out.insert((**a).clone().not().always());
                 }
-                components(a, positive, out);
-                components(a, !positive, out);
+                components(a, true, true, out);
             }
             Ltl::Until(p, q) => {
                 if positive {
                     out.insert(f.clone());
-                } else {
+                }
+                if negative {
                     out.insert(f.clone().not());
                 }
                 // Both polarities of both operands can surface during
                 // expansion (q now / defer, ¬q ∧ ¬p now / defer).
-                components(p, true, out);
-                components(p, false, out);
-                components(q, true, out);
-                components(q, false, out);
+                components(p, true, true, out);
+                components(q, true, true, out);
             }
         }
     }
     let mut out = BTreeSet::new();
-    components(formula, true, &mut out);
+    components(formula, true, false, &mut out);
     ClosureProfile { components: out.len(), atoms: formula.atoms().len(), size: formula.size() }
 }
 
-/// Expands every node of one BFS level, striping the nodes across the worker
-/// pool, and returns the expansion lists in level order.
-///
-/// Expansion is a pure function of the label set, so the stripes can run
-/// concurrently; the deterministic part — interning targets and assigning
-/// identifiers — stays with the caller's sequential merge.
-fn expand_level(
-    labels: &[BTreeSet<Ltl>],
-    level: &[NodeId],
-    budget: usize,
-    pool: &WorkerPool,
-) -> Vec<Option<Vec<Expansion>>> {
-    pool.map(level.len(), |i| expand_set(&labels[level[i]], budget))
+/// One closure entry's expansion step, resolved once per build: the `match`
+/// of a tree-walking expander turned into a table lookup.  Generic over how
+/// formulas (`F`) and atoms (`A`) are named — trees while the closure is
+/// discovered, [`Op`]'s ids after.  The steps that re-insert "self" into the
+/// next-set (`□`, `◇`, `U`, `¬U`) use the id of the entry being expanded.
+#[derive(Clone, Copy, Debug)]
+enum Step<F, A> {
+    /// `true` and `¬false`: nothing to commit.
+    Skip,
+    /// `false` and `¬true`: the branch is inconsistent.
+    Close,
+    /// An atom (`true`) or a negated atom (`false`).
+    Literal(A, bool),
+    /// Push one formula: `¬¬a → a`, `¬(a ∧ b) → ¬a ∨ ¬b`, `¬□a → ◇¬a`,
+    /// `¬◇a → □¬a`.
+    Push(F),
+    /// Push two formulas, in order: `a ∧ b → a, b` and `¬(a ∨ b) → ¬a, ¬b`.
+    Push2(F, F),
+    /// `◦a` and `¬◦a → ◦¬a`: insert the operand into the next-set.
+    Next(F),
+    /// `□a → a ∧ ◦□a`.
+    Always(F),
+    /// `a ∨ b`: branch on `a`, continue with `b`.
+    Or(F, F),
+    /// `◇a → a ∨ ◦◇a`, promising the eventuality `a`.
+    Eventually(F),
+    /// Weak `U(p, q) → q ∨ (p ∧ ◦U(p, q))`, no eventuality: `(p, q)`.
+    Until(F, F),
+    /// `¬U(p, q) → ¬q ∧ (¬p ∨ ◦¬U(p, q))`, promising the eventuality `¬p`:
+    /// `(¬p, ¬q)`.
+    NotUntil(F, F),
 }
 
-/// Expands a set of formulae into all of its saturated alternatives, or
-/// `None` when more than `cap` alternatives would be produced.
-fn expand_set(label: &BTreeSet<Ltl>, cap: usize) -> Option<Vec<Expansion>> {
-    let mut results = Vec::new();
-    let pending: Vec<Ltl> = label.iter().cloned().collect();
-    if expand_rec(pending, BTreeSet::new(), Expansion::default(), &mut results, cap) {
-        Some(results)
-    } else {
-        None
+/// A compiled step: closure ids and atom ranks.
+type Op = Step<u32, u32>;
+
+impl Step<Ltl, Atom> {
+    /// The expansion rule of `formula`, with every rewrite computed through
+    /// the same simplifying [`Ltl::not`] a tree-walking expander would use.
+    fn of(formula: &Ltl) -> Self {
+        let not = |f: &Ltl| f.clone().not();
+        match formula {
+            Ltl::True => Step::Skip,
+            Ltl::False => Step::Close,
+            Ltl::Atom(atom) => Step::Literal(atom.clone(), true),
+            Ltl::Not(inner) => match &**inner {
+                Ltl::True => Step::Close,
+                Ltl::False => Step::Skip,
+                Ltl::Atom(atom) => Step::Literal(atom.clone(), false),
+                Ltl::Not(a) => Step::Push((**a).clone()),
+                Ltl::And(a, b) => Step::Push(Ltl::Or(Box::new(not(a)), Box::new(not(b)))),
+                Ltl::Or(a, b) => Step::Push2(not(a), not(b)),
+                Ltl::Next(a) => Step::Next(not(a)),
+                Ltl::Always(a) => Step::Push(Ltl::Eventually(Box::new(not(a)))),
+                Ltl::Eventually(a) => Step::Push(Ltl::Always(Box::new(not(a)))),
+                Ltl::Until(p, q) => Step::NotUntil(not(p), not(q)),
+            },
+            Ltl::And(a, b) => Step::Push2((**a).clone(), (**b).clone()),
+            Ltl::Or(a, b) => Step::Or((**a).clone(), (**b).clone()),
+            Ltl::Next(a) => Step::Next((**a).clone()),
+            Ltl::Always(a) => Step::Always((**a).clone()),
+            Ltl::Eventually(a) => Step::Eventually((**a).clone()),
+            Ltl::Until(p, q) => Step::Until((**p).clone(), (**q).clone()),
+        }
     }
 }
 
-/// Returns `false` when the expansion exceeded `cap` alternatives.
-fn expand_rec(
-    mut pending: Vec<Ltl>,
-    mut seen: BTreeSet<Ltl>,
-    mut acc: Expansion,
-    results: &mut Vec<Expansion>,
-    cap: usize,
-) -> bool {
-    loop {
-        let Some(formula) = pending.pop() else {
-            if results.len() >= cap {
-                return false;
-            }
-            results.push(acc);
-            return true;
-        };
-        if !seen.insert(formula.clone()) {
-            continue;
+impl<F, A> Step<F, A> {
+    /// Renames the step's formulas through `formula` and its atom through
+    /// `atom`.
+    fn map<G, B>(self, mut formula: impl FnMut(F) -> G, atom: impl FnOnce(A) -> B) -> Step<G, B> {
+        match self {
+            Step::Skip => Step::Skip,
+            Step::Close => Step::Close,
+            Step::Literal(a, positive) => Step::Literal(atom(a), positive),
+            Step::Push(a) => Step::Push(formula(a)),
+            Step::Push2(a, b) => Step::Push2(formula(a), formula(b)),
+            Step::Next(a) => Step::Next(formula(a)),
+            Step::Always(a) => Step::Always(formula(a)),
+            Step::Or(a, b) => Step::Or(formula(a), formula(b)),
+            Step::Eventually(a) => Step::Eventually(formula(a)),
+            Step::Until(p, q) => Step::Until(formula(p), formula(q)),
+            Step::NotUntil(not_p, not_q) => Step::NotUntil(formula(not_p), formula(not_q)),
         }
-        match formula {
-            Ltl::True => {}
-            Ltl::False => return true, // inconsistent branch
-            Ltl::Atom(atom) => {
-                if !add_literal(&mut acc, atom, true) {
-                    return true;
+    }
+}
+
+/// The closure table of one build: every formula expansion can push, defer
+/// or promise, hash-consed and numbered in `Ltl` order, with its expansion
+/// step; and the atoms, numbered in `Atom` order.  Read-only once compiled,
+/// so the level-parallel workers share it.
+#[derive(Debug)]
+struct Closure {
+    /// Entry `i`'s formula; ascending `i` is ascending `Ltl` order.
+    formulas: Vec<Ltl>,
+    /// Entry `i`'s expansion step.
+    ops: Vec<Op>,
+    /// Atom rank `r`'s atom; ascending `r` is ascending `Atom` order.
+    atoms: Vec<Atom>,
+    /// The id of the formula the graph is built for.
+    root: u32,
+    /// `u64` words per closure bitset.
+    words: usize,
+    /// `u64` words per atom bitset.
+    atom_words: usize,
+}
+
+impl Closure {
+    /// Compiles `root` into its closure table: a worklist discovers every
+    /// entry (no recursion over the formula), then entries and atoms are
+    /// renumbered by rank.
+    fn compile(root: &Ltl) -> Closure {
+        fn intern<T: Clone + Eq + std::hash::Hash>(
+            ids: &mut HashMap<T, u32>,
+            items: &mut Vec<T>,
+            item: T,
+        ) -> u32 {
+            let next = items.len() as u32;
+            *ids.entry(item).or_insert_with_key(|item| {
+                items.push(item.clone());
+                next
+            })
+        }
+        let mut formula_ids: HashMap<Ltl, u32> = HashMap::new();
+        let mut formulas: Vec<Ltl> = Vec::new();
+        let mut atom_ids: HashMap<Atom, u32> = HashMap::new();
+        let mut atoms: Vec<Atom> = Vec::new();
+        let root = intern(&mut formula_ids, &mut formulas, root.clone());
+        let mut ops: Vec<Op> = Vec::new();
+        while ops.len() < formulas.len() {
+            let step = Step::of(&formulas[ops.len()]);
+            ops.push(step.map(
+                |f| intern(&mut formula_ids, &mut formulas, f),
+                |a| intern(&mut atom_ids, &mut atoms, a),
+            ));
+        }
+        drop(formula_ids);
+
+        let (formulas, rank) = sort_by_rank(formulas);
+        let (atoms, atom_rank) = sort_by_rank(atoms);
+        let mut ranked_ops = vec![Op::Skip; ops.len()];
+        for (id, op) in ops.into_iter().enumerate() {
+            ranked_ops[rank[id] as usize] = op.map(|f| rank[f as usize], |a| atom_rank[a as usize]);
+        }
+        let words = formulas.len().div_ceil(64);
+        let atom_words = atoms.len().div_ceil(64);
+        Closure { formulas, ops: ranked_ops, atoms, root: rank[root as usize], words, atom_words }
+    }
+
+    /// The next-set section of an expansion buffer.
+    fn next(&self) -> Range<usize> {
+        0..self.words
+    }
+
+    /// The promised-eventualities section of an expansion buffer.
+    fn eventualities(&self) -> Range<usize> {
+        self.words..2 * self.words
+    }
+
+    /// The fulfilled-eventualities section of an expansion buffer.
+    fn fulfilled(&self) -> Range<usize> {
+        2 * self.words..3 * self.words
+    }
+
+    /// The positive-literal (atom-rank) section of an expansion buffer.
+    fn positive(&self) -> Range<usize> {
+        3 * self.words..3 * self.words + self.atom_words
+    }
+
+    /// The negative-literal (atom-rank) section of an expansion buffer.
+    fn negative(&self) -> Range<usize> {
+        3 * self.words + self.atom_words..3 * self.words + 2 * self.atom_words
+    }
+
+    /// The both-polarity literal sections of an expansion buffer: the key
+    /// its literal conjunction is interned by.
+    fn literal_sections(&self) -> Range<usize> {
+        self.positive().start..self.negative().end
+    }
+
+    /// The formulas of ascending closure ids, as the public `BTreeSet` shape.
+    fn materialise(&self, ids: impl Iterator<Item = u32>) -> BTreeSet<Ltl> {
+        ids.map(|id| self.formulas[id as usize].clone()).collect()
+    }
+
+    /// The literal conjunction of an expansion, in ascending `Atom` order.
+    fn literal_set(&self, exp: &[u64]) -> Vec<Literal> {
+        let (positive, negative) = (&exp[self.positive()], &exp[self.negative()]);
+        let committed: Vec<u64> = positive.iter().zip(negative).map(|(p, n)| p | n).collect();
+        bit_iter(&committed)
+            .map(|rank| Literal {
+                atom: self.atoms[rank as usize].clone(),
+                positive: bit_contains(positive, rank),
+            })
+            .collect()
+    }
+
+    /// Expands a label bitset into all of its saturated alternatives (each
+    /// an expansion buffer laid out by [`Closure::next`] and the other
+    /// section ranges), or `None` when more than `cap` alternatives would be
+    /// produced.
+    ///
+    /// The pending stack starts as the label's ids ascending and pops from
+    /// the top — the order a `BTreeSet<Ltl>` label would be pushed in.
+    fn expand(&self, label: &[u64], cap: usize) -> Option<Vec<Vec<u64>>> {
+        let mut results = Vec::new();
+        let pending: Vec<u32> = bit_iter(label).collect();
+        let seen = vec![0u64; self.words];
+        let acc = vec![0u64; 3 * self.words + 2 * self.atom_words];
+        self.expand_rec(pending, seen, acc, &mut results, cap).then_some(results)
+    }
+
+    /// Returns `false` when the expansion exceeded `cap` alternatives.
+    fn expand_rec(
+        &self,
+        mut pending: Vec<u32>,
+        mut seen: Vec<u64>,
+        mut acc: Vec<u64>,
+        results: &mut Vec<Vec<u64>>,
+        cap: usize,
+    ) -> bool {
+        loop {
+            let Some(id) = pending.pop() else {
+                if results.len() >= cap {
+                    return false;
                 }
+                results.push(acc);
+                return true;
+            };
+            if !bit_insert(&mut seen, id) {
+                continue;
             }
-            Ltl::Not(inner) => match *inner {
-                Ltl::True => return true,
-                Ltl::False => {}
-                Ltl::Atom(atom) => {
-                    if !add_literal(&mut acc, atom, false) {
+            match self.ops[id as usize] {
+                Step::Skip => {}
+                Step::Close => return true, // inconsistent branch
+                Step::Literal(atom, positive) => {
+                    let (same, opposite) = if positive {
+                        (self.positive(), self.negative())
+                    } else {
+                        (self.negative(), self.positive())
+                    };
+                    if bit_contains(&acc[opposite], atom) {
                         return true;
                     }
+                    bit_insert(&mut acc[same], atom);
                 }
-                Ltl::Not(a) => pending.push(*a),
-                Ltl::And(a, b) => {
-                    // ¬(a ∧ b)  →  ¬a ∨ ¬b
-                    pending.push(Ltl::Or(Box::new(a.not()), Box::new(b.not())));
+                Step::Push(a) => pending.push(a),
+                Step::Push2(a, b) => {
+                    pending.push(a);
+                    pending.push(b);
                 }
-                Ltl::Or(a, b) => {
-                    pending.push(a.not());
-                    pending.push(b.not());
+                Step::Next(a) => {
+                    bit_insert(&mut acc[self.next()], a);
                 }
-                Ltl::Next(a) => {
-                    acc.next.insert(a.not());
+                Step::Always(a) => {
+                    bit_insert(&mut acc[self.next()], id);
+                    pending.push(a);
                 }
-                Ltl::Always(a) => pending.push(Ltl::Eventually(Box::new(a.not()))),
-                Ltl::Eventually(a) => pending.push(Ltl::Always(Box::new(a.not()))),
-                Ltl::Until(p, q) => {
-                    // ¬U(p, q)  →  ¬q ∧ (¬p  ∨  ◦¬U(p, q))  with eventuality ¬p.
-                    let not_p = p.clone().not();
-                    let not_u = Ltl::Until(p, q.clone()).not();
-                    pending.push(q.not());
-                    // Branch 1: ¬p holds now (eventuality fulfilled).
-                    let mut now = Expansion {
-                        literals: acc.literals.clone(),
-                        next: acc.next.clone(),
-                        eventualities: acc.eventualities.clone(),
-                        fulfilled: acc.fulfilled.clone(),
-                    };
-                    now.fulfilled.insert(not_p.clone());
-                    let mut now_pending = pending.clone();
-                    now_pending.push(not_p.clone());
-                    if !expand_rec(now_pending, seen.clone(), now, results, cap) {
+                Step::Or(a, b) => {
+                    let mut left_pending = pending.clone();
+                    left_pending.push(a);
+                    if !self.expand_rec(left_pending, seen.clone(), acc.clone(), results, cap) {
                         return false;
                     }
-                    // Branch 2: defer; promise the eventuality ¬p.
-                    acc.eventualities.insert(not_p);
-                    acc.next.insert(not_u);
-                    continue;
+                    pending.push(b);
                 }
-            },
-            Ltl::And(a, b) => {
-                pending.push(*a);
-                pending.push(*b);
-            }
-            Ltl::Or(a, b) => {
-                let mut left_pending = pending.clone();
-                left_pending.push(*a);
-                if !expand_rec(left_pending, seen.clone(), acc.clone(), results, cap) {
-                    return false;
+                Step::Eventually(a) => {
+                    // Branch 1: `a` holds now (eventuality fulfilled).
+                    if !self.branch_now(&pending, &seen, &acc, a, results, cap) {
+                        return false;
+                    }
+                    // Branch 2: defer.
+                    bit_insert(&mut acc[self.eventualities()], a);
+                    bit_insert(&mut acc[self.next()], id);
                 }
-                pending.push(*b);
-                continue;
-            }
-            Ltl::Next(a) => {
-                acc.next.insert(*a);
-            }
-            Ltl::Always(a) => {
-                // □a  →  a ∧ ◦□a
-                acc.next.insert(Ltl::Always(a.clone()));
-                pending.push(*a);
-            }
-            Ltl::Eventually(a) => {
-                // ◇a  →  a  ∨  ◦◇a  (eventuality a).
-                let body = (*a).clone();
-                // Branch 1: a holds now (eventuality fulfilled).
-                let mut now = acc.clone();
-                now.fulfilled.insert(body.clone());
-                let mut now_pending = pending.clone();
-                now_pending.push(body.clone());
-                if !expand_rec(now_pending, seen.clone(), now, results, cap) {
-                    return false;
+                Step::Until(p, q) => {
+                    // Branch 1: `q` holds now.
+                    if !self.branch_now(&pending, &seen, &acc, q, results, cap) {
+                        return false;
+                    }
+                    // Branch 2: `p` now, the until again next.
+                    pending.push(p);
+                    bit_insert(&mut acc[self.next()], id);
                 }
-                // Branch 2: defer.
-                acc.eventualities.insert(body);
-                acc.next.insert(Ltl::Eventually(a));
-                continue;
-            }
-            Ltl::Until(p, q) => {
-                // Weak until:  U(p, q)  →  q  ∨  (p ∧ ◦U(p, q)); no eventuality.
-                let mut q_now = acc.clone();
-                let mut q_pending = pending.clone();
-                q_pending.push((*q).clone());
-                q_now.fulfilled.insert((*q).clone());
-                if !expand_rec(q_pending, seen.clone(), q_now, results, cap) {
-                    return false;
+                Step::NotUntil(not_p, not_q) => {
+                    pending.push(not_q);
+                    // Branch 1: `¬p` holds now (eventuality fulfilled).
+                    if !self.branch_now(&pending, &seen, &acc, not_p, results, cap) {
+                        return false;
+                    }
+                    // Branch 2: defer; promise the eventuality `¬p`.
+                    bit_insert(&mut acc[self.eventualities()], not_p);
+                    bit_insert(&mut acc[self.next()], id);
                 }
-                pending.push((*p).clone());
-                acc.next.insert(Ltl::Until(p, q));
-                continue;
             }
         }
     }
-}
 
-/// Adds a literal to an expansion; returns `false` if it contradicts an existing literal.
-fn add_literal(acc: &mut Expansion, atom: Atom, positive: bool) -> bool {
-    match acc.literals.get(&atom) {
-        Some(&existing) => existing == positive,
-        None => {
-            acc.literals.insert(atom, positive);
-            true
-        }
+    /// The "holds now" branch shared by `◇`, `U` and `¬U`: a copy of the
+    /// state with `now` pushed and marked fulfilled.
+    fn branch_now(
+        &self,
+        pending: &[u32],
+        seen: &[u64],
+        acc: &[u64],
+        now: u32,
+        results: &mut Vec<Vec<u64>>,
+        cap: usize,
+    ) -> bool {
+        let mut now_pending = pending.to_vec();
+        now_pending.push(now);
+        let mut now_acc = acc.to_vec();
+        bit_insert(&mut now_acc[self.fulfilled()], now);
+        self.expand_rec(now_pending, seen.to_vec(), now_acc, results, cap)
     }
 }
 
+/// Sorts hash-consed items ascending and returns them with `rank`, where
+/// `rank[old_id]` is the item's position in the sorted order.
+fn sort_by_rank<T: Ord>(items: Vec<T>) -> (Vec<T>, Vec<u32>) {
+    let mut order: Vec<u32> = (0..items.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| items[a as usize].cmp(&items[b as usize]));
+    let mut rank = vec![0u32; items.len()];
+    for (position, &id) in order.iter().enumerate() {
+        rank[id as usize] = position as u32;
+    }
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let sorted = order
+        .iter()
+        .map(|&id| slots[id as usize].take().expect("each id is ranked exactly once"))
+        .collect();
+    (sorted, rank)
+}
+
+/// Sets bit `bit`; returns `true` if it was clear.
+fn bit_insert(words: &mut [u64], bit: u32) -> bool {
+    let (word, mask) = (bit as usize / 64, 1u64 << (bit % 64));
+    let fresh = words[word] & mask == 0;
+    words[word] |= mask;
+    fresh
+}
+
+fn bit_contains(words: &[u64], bit: u32) -> bool {
+    words[bit as usize / 64] & (1u64 << (bit % 64)) != 0
+}
+
+/// The set bits, ascending.
+fn bit_iter(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros();
+            rest &= rest - 1;
+            Some(i as u32 * 64 + bit)
+        })
+    })
+}
 /// The result of the `Iter` deletion loop.
 #[derive(Clone, Debug)]
 pub struct Pruned {
@@ -687,7 +997,9 @@ pub fn prune(graph: &TableauGraph, theory: &dyn Theory) -> Pruned {
 /// Both phases are pure functions of the current alive sets — the theory
 /// filter is independent per edge and the fulfilling-reachability map is
 /// independent per eventuality — so the deletion loop deletes exactly the
-/// same edges in the same rounds at every worker count.
+/// same edges in the same rounds at every worker count.  Eventualities are
+/// handled by the graph's per-edge eventuality-index rows, never by comparing
+/// formulas.
 pub fn prune_budgeted(
     graph: &TableauGraph,
     theory: &dyn Theory,
@@ -695,10 +1007,18 @@ pub fn prune_budgeted(
     budget: &ResourceBudget,
 ) -> Result<Pruned, Exhaustion> {
     let pool = WorkerPool::new(parallelism);
-    let eventualities = graph.eventualities();
+    let index = graph.eventuality_index();
+    // The edges fulfilling each eventuality, ascending: the seeds of its
+    // reachability pass.
+    let mut fulfilling: Vec<Vec<EdgeId>> = vec![Vec::new(); index.all.len()];
+    for eid in 0..graph.edge_count() {
+        for &ei in index.fulfilled(eid) {
+            fulfilling[ei as usize].push(eid);
+        }
+    }
     let mut node_alive = vec![true; graph.node_count()];
     let mut edge_alive: Vec<bool> = pool.map(graph.edge_count(), |i| {
-        theory.satisfiable(&graph.edge(i).literals) == TheoryResult::Satisfiable
+        theory.satisfiable(graph.literals(i)) == TheoryResult::Satisfiable
     });
     let mut iterations = 0;
     loop {
@@ -713,27 +1033,21 @@ pub fn prune_budgeted(
         // others, so the eventualities stripe across the pool; the shared
         // incoming-edge index is built once per round.
         let incoming = incoming_index(graph, &edge_alive);
-        let reach: Vec<Vec<bool>> = pool.map(eventualities.len(), |i| {
-            reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, &eventualities[i])
+        let reach: Vec<Vec<bool>> = pool.map(fulfilling.len(), |ei| {
+            reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, &fulfilling[ei])
         });
-        let reach: HashMap<&Ltl, Vec<bool>> = eventualities.iter().zip(reach).collect();
-        for (id, edge) in graph.edges().iter().enumerate() {
-            if !edge_alive[id] {
-                continue;
-            }
-            for ev in &edge.eventualities {
-                if !reach[ev][edge.to] {
-                    edge_alive[id] = false;
-                    changed = true;
-                    break;
-                }
+        for (id, alive) in edge_alive.iter_mut().enumerate() {
+            let to = graph.target(id);
+            if *alive && index.mentions(id).iter().any(|&ei| !reach[ei as usize][to]) {
+                *alive = false;
+                changed = true;
             }
         }
 
         // Delete edges leading to or from dead nodes, and nodes with no live outgoing edge.
-        for (id, edge) in graph.edges().iter().enumerate() {
-            if edge_alive[id] && (!node_alive[edge.from] || !node_alive[edge.to]) {
-                edge_alive[id] = false;
+        for (id, alive) in edge_alive.iter_mut().enumerate() {
+            if *alive && (!node_alive[graph.source(id)] || !node_alive[graph.target(id)]) {
+                *alive = false;
                 changed = true;
             }
         }
@@ -755,39 +1069,37 @@ pub fn prune_budgeted(
 /// pass of one deletion round.
 fn incoming_index(graph: &TableauGraph, edge_alive: &[bool]) -> Vec<Vec<EdgeId>> {
     let mut incoming: Vec<Vec<EdgeId>> = vec![Vec::new(); graph.node_count()];
-    for (id, edge) in graph.edges().iter().enumerate() {
-        if edge_alive[id] {
-            incoming[edge.to].push(id);
+    for (id, &alive) in edge_alive.iter().enumerate() {
+        if alive {
+            incoming[graph.target(id)].push(id);
         }
     }
     incoming
 }
 
-/// Computes, for every node, whether a live edge fulfilling `ev` is reachable
-/// from it through live edges (including taking the fulfilling edge itself).
+/// Computes, for every node, whether a live edge fulfilling one eventuality
+/// (`fulfilling`: the edges that fulfil it) is reachable from it through
+/// live edges (including taking the fulfilling edge itself).
 fn reachable_to_fulfilling(
     graph: &TableauGraph,
     node_alive: &[bool],
     edge_alive: &[bool],
     incoming: &[Vec<EdgeId>],
-    ev: &Ltl,
+    fulfilling: &[EdgeId],
 ) -> Vec<bool> {
     let mut reach = vec![false; graph.node_count()];
     let mut queue: VecDeque<NodeId> = VecDeque::new();
-    for (id, edge) in graph.edges().iter().enumerate() {
-        if edge_alive[id]
-            && node_alive[edge.from]
-            && edge.fulfilled.contains(ev)
-            && !reach[edge.from]
-        {
-            reach[edge.from] = true;
-            queue.push_back(edge.from);
+    for &id in fulfilling {
+        let from = graph.source(id);
+        if edge_alive[id] && node_alive[from] && !reach[from] {
+            reach[from] = true;
+            queue.push_back(from);
         }
     }
     // Backward closure over live edges.
     while let Some(node) = queue.pop_front() {
         for &eid in &incoming[node] {
-            let from = graph.edge(eid).from;
+            let from = graph.source(eid);
             if node_alive[from] && !reach[from] {
                 reach[from] = true;
                 queue.push_back(from);
@@ -949,6 +1261,14 @@ mod tests {
             valid_pure_budgeted(&p().or(p().not()), &ResourceBudget::default(), Parallelism::Off),
             Ok(true)
         );
+    }
+
+    #[test]
+    fn closure_profile_is_linear_in_temporal_nesting() {
+        // `□` needs its operand at both polarities; a 200-deep chain would
+        // take 2^200 visits if each polarity were walked separately.
+        let deep = (0..200).fold(p(), |f, _| f.always());
+        assert_eq!(closure_profile(&deep).components, 2 * 200 - 1);
     }
 
     #[test]
