@@ -22,44 +22,70 @@
 //! 5. The closure-interned tableau build beats the `Ltl`-tree builder it
 //!    replaced (the test-only reference in
 //!    `tests/support/tableau_reference.rs`) on the R3 and R4 graphs.
+//! 6. The condition store's size-ordered, indexed absorption beats the
+//!    bitset-antichain product it replaced (the test-only reference in
+//!    `tests/support/bit_antichain.rs`) on the heaviest products of the
+//!    `~[ => r ] <>q` condition trip, the costliest artifact of perfbench's
+//!    `decide_corpus`.
 //!
-//! The bench doubles as an automated performance gate: `main` asserts
-//! generous wall-clock ceilings on the headline measurements, the
-//! skip-rate regression guard — `equations_skipped` must be strictly
-//! positive on ladder3, or the engine has silently fallen back to full
-//! sweeps — the evaluated-path speedup floor (≥ 1.5x on at least two of
-//! R3/R4/R5/ladder3), and the tableau-build ratio floor (the interned
-//! build ≥ 4x faster than the reference on both R3 and R4, median of 15
-//! builds each), and exits non-zero past them.  CI's `bench-smoke` job
+//! The bench doubles as an automated performance gate: `main` asserts a
+//! wall-clock ceiling on the evaluated decision, the skip-rate regression
+//! guard — `equations_skipped` must be strictly positive on ladder3, or the
+//! engine has silently fallen back to full sweeps — the evaluated-path
+//! speedup floor (≥ 1.5x on at least two of R3/R4/R5/ladder3), the
+//! tableau-build ratio floor (the interned build ≥ 4x faster than the
+//! reference on both R3 and R4, median of 15 builds each), and the
+//! absorption ratio floor (the store's `∧` ≥ [`ABSORB_SPEEDUP_FLOOR`]x
+//! faster than the reference over the trip's heaviest products, median of
+//! 11 runs each), and exits non-zero past them.  CI's `bench-smoke` job
 //! runs it on every push (see `.github/workflows/ci.yml`).
 //!
 //! Results are written to `BENCH_PR7.json` at the workspace root.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use criterion::{BatchSize, BenchResult, Criterion};
 use ilogic_core::dsl::*;
 use ilogic_core::ltl_translate::to_ltl;
+use ilogic_core::parser::parse_formula;
 use ilogic_temporal::algorithm_b::{
     condition_of_graph_baseline, condition_of_graph_budgeted_stats,
     condition_of_graph_full_sweep_stats, evaluate_condition_at_budgeted_stats,
-    evaluate_condition_at_full_sweep_stats, AlgorithmB, Decision,
+    evaluate_condition_at_full_sweep_stats, strongly_connected_components, AlgorithmB, Decision,
 };
+use ilogic_temporal::dnf::store::{ConditionStore, DnfId, StoreStats};
+use ilogic_temporal::dnf::{Dnf, DnfBudget};
 use ilogic_temporal::patterns;
-use ilogic_temporal::pool::{Parallelism, ResourceBudget};
+use ilogic_temporal::pool::{Exhaustion, Parallelism, ResourceBudget};
 use ilogic_temporal::syntax::{Ltl, VarSpec};
-use ilogic_temporal::tableau::TableauGraph;
+use ilogic_temporal::tableau::{NodeId, TableauGraph};
 use ilogic_temporal::theory::PropositionalTheory;
 
 #[path = "../../../tests/support/tableau_reference.rs"]
 mod tableau_reference;
 
-/// Wall-clock ceilings for the CI perf gate, well above the release
-/// measurements on a 2-thread host (decide ~2 ms, trip ~220 ms), so only a
-/// genuine regression — not scheduler noise — fails the job.
+#[path = "../../../tests/support/bit_antichain.rs"]
+mod bit_antichain;
+
+/// Wall-clock ceiling on the evaluated decision for the CI perf gate, well
+/// above the release measurement on a 2-thread host (~2 ms).
 const DECIDE_CEILING: Duration = Duration::from_secs(1);
-const TRIP_CEILING: Duration = Duration::from_secs(60);
+
+/// The absorption ratio floor: over the [`ABSORB_PRODUCTS`] heaviest `∧`
+/// products of the `~[ => r ] <>q` trip, the store's `∧` must be at least
+/// this much faster than the bitset-antichain reference, in the sum of the
+/// per-product medians of [`ABSORB_SAMPLES`] runs.  Measured at 7.4x on a
+/// 2-thread host, so the floor sits at half of that: a 2x slowdown of the
+/// kernel fails the gate.
+const ABSORB_SPEEDUP_FLOOR: f64 = 3.5;
+const ABSORB_SAMPLES: usize = 11;
+const ABSORB_PRODUCTS: usize = 3;
+
+/// The condition artifact whose budget trip dominated perfbench's
+/// `decide_corpus` before the indexed absorption kernel.
+const TRIP_FORMULA: &str = "~[ => r ] <>q";
 
 /// The evaluated-path speedup floor: the worklist engine's Boolean
 /// projection must beat the PR 5 sweep by at least this factor on at least
@@ -284,6 +310,27 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
     });
     group.finish();
 
+    // The costliest artifact of perfbench's decide_corpus: the condition of
+    // `~[ => r ] <>q` trips the default implicant cap, while the evaluated
+    // decision settles it in microseconds.
+    let trip_graph = build_graph(&trip_formula_ltl());
+    assert!(
+        condition_of_graph_budgeted_stats(trip_graph.clone(), &budget, Parallelism::Off).0.is_err(),
+        "the {TRIP_FORMULA} condition must trip the default budget"
+    );
+    let mut group = c.benchmark_group("condition_trip");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_millis(1500));
+    group.warm_up_time(Duration::from_millis(200));
+    group.bench_function("delta/not_eventually_within_next_r", |b| {
+        b.iter_batched(
+            || trip_graph.clone(),
+            |g| condition_of_graph_budgeted_stats(g, &budget, Parallelism::Off).0.is_err(),
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+
     // The service path end to end: Decide request → budgeted condition
     // artifact (trips) → evaluated decision → concrete countermodel.
     let mut group = c.benchmark_group("session");
@@ -313,21 +360,22 @@ struct BuildRow {
     reference_ns: f64,
 }
 
-/// The median wall-clock time of [`BUILD_SAMPLES`] calls of `build`, after
-/// one untimed warm-up call.
-fn median_ns<T>(build: impl Fn() -> T) -> f64 {
-    drop(build());
-    let mut samples: Vec<f64> = (0..BUILD_SAMPLES)
+/// The median wall-clock time of `samples` runs of `run`, each on a fresh
+/// input from the untimed `setup`, after one untimed warm-up run.
+fn median_ns<I, T>(samples: usize, setup: impl Fn() -> I, run: impl Fn(I) -> T) -> f64 {
+    drop(run(setup()));
+    let mut times: Vec<f64> = (0..samples)
         .map(|_| {
+            let input = setup();
             let start = Instant::now();
-            let built = build();
+            let output = run(input);
             let elapsed = start.elapsed();
-            drop(built);
+            drop(output);
             elapsed.as_nanos() as f64
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[BUILD_SAMPLES / 2]
+    times.sort_by(f64::total_cmp);
+    times[samples / 2]
 }
 
 /// Times the interned build against the reference builder on the gated
@@ -352,15 +400,234 @@ fn bench_tableau_build() -> Vec<BuildRow> {
                 name,
                 nodes: graph.node_count(),
                 edges: graph.edge_count(),
-                interned_ns: median_ns(|| {
-                    TableauGraph::try_build_budgeted(&negated, &budget, Parallelism::Off)
-                }),
-                reference_ns: median_ns(|| {
-                    tableau_reference::build_reference(&negated, &budget, Parallelism::Off)
-                }),
+                interned_ns: median_ns(
+                    BUILD_SAMPLES,
+                    || (),
+                    |()| TableauGraph::try_build_budgeted(&negated, &budget, Parallelism::Off),
+                ),
+                reference_ns: median_ns(
+                    BUILD_SAMPLES,
+                    || (),
+                    |()| tableau_reference::build_reference(&negated, &budget, Parallelism::Off),
+                ),
             }
         })
         .collect()
+}
+
+/// The LTL image of [`TRIP_FORMULA`], translated as perfbench translates it.
+fn trip_formula_ltl() -> Ltl {
+    to_ltl(&parse_formula(TRIP_FORMULA).expect("the trip formula parses")).unwrap()
+}
+
+/// One `∧` product the condition fixpoint had to compute (a memo miss).
+struct Product {
+    lhs: DnfId,
+    rhs: DnfId,
+    /// `|lhs| · |rhs|`, the nominal pair count.
+    pairs: usize,
+}
+
+/// Replays the Appendix B §5.3 condition fixpoint of `graph` through the
+/// public [`ConditionStore`] API, in the full-sweep (Jacobi) discipline of
+/// `condition_of_graph_full_sweep_stats` at one worker, and returns the
+/// store, every `∧` product it computed, and whether the budget tripped.
+///
+/// The replay performs the same store operations in the same order as the
+/// engine, which `main` checks by comparing the two runs' `StoreStats`, so
+/// the recorded products are exactly the engine's.
+fn replay_condition(
+    graph: &TableauGraph,
+    budget: &DnfBudget,
+) -> (ConditionStore, Vec<Product>, Option<Exhaustion>) {
+    let mut store = ConditionStore::new();
+    let mut products = Vec::new();
+    let n = graph.node_count();
+    let eventualities = graph.eventualities();
+    let ne = eventualities.len();
+    let mut atoms = Vec::with_capacity(graph.edge_count());
+    for eid in 0..graph.edge_count() {
+        match store.atom(eid, budget) {
+            Some(atom) => atoms.push(atom),
+            None => return (store, products, budget.exhaustion()),
+        }
+    }
+    let mut delete = vec![ConditionStore::BOTTOM; n];
+    let mut fail = vec![ConditionStore::TOP; n * ne];
+    // One equation: `ev == None` is delete(node), `Some(ei)` is fail(ei, node).
+    let equation = |store: &mut ConditionStore,
+                    products: &mut Vec<Product>,
+                    delete: &[DnfId],
+                    fail: &[DnfId],
+                    node: NodeId,
+                    ev: Option<usize>|
+     -> Option<DnfId> {
+        let mut terms = Vec::new();
+        for &eid in graph.outgoing(node) {
+            let edge = graph.edge(eid);
+            let or = |store: &mut ConditionStore, a, b| (!budget.tripped()).then(|| store.or(a, b));
+            let mut term = or(store, atoms[eid], delete[edge.to])?;
+            for (ei, eventuality) in eventualities.iter().enumerate() {
+                let read = match ev {
+                    None => edge.eventualities.contains(eventuality),
+                    Some(target) => ei == target && !edge.fulfilled.contains(eventuality),
+                };
+                if read {
+                    term = or(store, term, fail[ei * n + edge.to])?;
+                }
+            }
+            terms.push(term);
+        }
+        if terms.contains(&ConditionStore::BOTTOM) {
+            return Some(ConditionStore::BOTTOM);
+        }
+        let mut acc = ConditionStore::TOP;
+        for term in terms {
+            if budget.tripped() {
+                return None;
+            }
+            let misses = store.stats().memo_misses;
+            let (lhs, rhs) = (acc, term);
+            acc = store.and(lhs, rhs, budget)?;
+            if store.stats().memo_misses > misses {
+                let pairs = store.width(lhs) * store.width(rhs);
+                products.push(Product { lhs, rhs, pairs });
+            }
+        }
+        Some(acc)
+    };
+    for component in strongly_connected_components(graph) {
+        let fail_tasks: Vec<(NodeId, usize)> =
+            component.iter().flat_map(|&node| (0..ne).map(move |ei| (node, ei))).collect();
+        loop {
+            for &node in &component {
+                for ei in 0..ne {
+                    fail[ei * n + node] = ConditionStore::TOP;
+                }
+            }
+            loop {
+                if budget.tripped() {
+                    return (store, products, budget.exhaustion());
+                }
+                store.record_sweep(fail_tasks.len() as u64, 0);
+                let mut updates = Vec::with_capacity(fail_tasks.len());
+                for &(node, ei) in &fail_tasks {
+                    match equation(&mut store, &mut products, &delete, &fail, node, Some(ei)) {
+                        Some(value) => updates.push(value),
+                        None => return (store, products, budget.exhaustion()),
+                    }
+                }
+                let mut changed = false;
+                for (&(node, ei), value) in fail_tasks.iter().zip(updates) {
+                    changed |= std::mem::replace(&mut fail[ei * n + node], value) != value;
+                }
+                if !changed {
+                    break;
+                }
+            }
+            let mut delete_changed = false;
+            loop {
+                if budget.tripped() {
+                    return (store, products, budget.exhaustion());
+                }
+                store.record_sweep(component.len() as u64, 0);
+                let mut updates = Vec::with_capacity(component.len());
+                for &node in &component {
+                    match equation(&mut store, &mut products, &delete, &fail, node, None) {
+                        Some(value) => updates.push(value),
+                        None => return (store, products, budget.exhaustion()),
+                    }
+                }
+                let mut changed = false;
+                for (&node, value) in component.iter().zip(updates) {
+                    changed |= std::mem::replace(&mut delete[node], value) != value;
+                }
+                delete_changed |= changed;
+                if !changed {
+                    break;
+                }
+            }
+            if !delete_changed {
+                break;
+            }
+        }
+    }
+    (store, products, None)
+}
+
+/// One of the trip's heaviest products, timed through the store and through
+/// the bitset-antichain reference.
+struct AbsorbRow {
+    rows: usize,
+    cols: usize,
+    survivors: usize,
+    store_ns: f64,
+    reference_ns: f64,
+}
+
+/// A DNF's implicants as sorted atom lists, the reference's input.
+fn atom_lists(dnf: &Dnf) -> Vec<Vec<u32>> {
+    dnf.implicants().map(|imp| imp.iter().map(|&atom| atom as u32).collect()).collect()
+}
+
+/// Replays the [`TRIP_FORMULA`] condition trip, checks the replay against
+/// the engine, and times the store's `∧` against the reference on the
+/// [`ABSORB_PRODUCTS`] heaviest products the trip completed — each from a
+/// fresh store holding just its operands, unbudgeted, after asserting both
+/// compute the same condition.  Returns the rows and the engine's stats.
+fn bench_absorption() -> (Vec<AbsorbRow>, StoreStats) {
+    let budget = ResourceBudget::default();
+    let graph = build_graph(&trip_formula_ltl());
+    let (engine, engine_stats) =
+        condition_of_graph_full_sweep_stats(graph.clone(), &budget, Parallelism::Off);
+    let cell = DnfBudget::from_budget(&budget);
+    let (store, mut products, cut) = replay_condition(&graph, &cell);
+    assert_eq!(cut, engine.err(), "the replay must trip like the engine");
+    assert_eq!(
+        store.stats(),
+        engine_stats,
+        "the replay must perform the engine's store operations"
+    );
+    products.sort_by_key(|product| std::cmp::Reverse(product.pairs));
+    let unbounded = DnfBudget::unbounded();
+    let rows = products
+        .iter()
+        .take(ABSORB_PRODUCTS)
+        .map(|product| {
+            let (lhs, rhs) = (store.extract(product.lhs), store.extract(product.rhs));
+            let (lhs_lists, rhs_lists) = (atom_lists(&lhs), atom_lists(&rhs));
+            let operands = || {
+                let mut fresh = ConditionStore::new();
+                let a = fresh.intern_dnf(&lhs, &unbounded).expect("unbounded");
+                let b = fresh.intern_dnf(&rhs, &unbounded).expect("unbounded");
+                (fresh, a, b)
+            };
+            let (mut fresh, a, b) = operands();
+            let result = fresh.and(a, b, &unbounded).expect("unbounded");
+            let expected: BTreeSet<Vec<u32>> =
+                atom_lists(&fresh.extract(result)).into_iter().collect();
+            let reference: BTreeSet<Vec<u32>> =
+                bit_antichain::and_reference(&lhs_lists, &rhs_lists).into_iter().collect();
+            assert_eq!(
+                expected, reference,
+                "the store and the reference disagree on a trip product"
+            );
+            AbsorbRow {
+                rows: lhs.implicant_count().max(rhs.implicant_count()),
+                cols: lhs.implicant_count().min(rhs.implicant_count()),
+                survivors: expected.len(),
+                store_ns: median_ns(ABSORB_SAMPLES, operands, |(mut fresh, a, b)| {
+                    fresh.and(a, b, &unbounded)
+                }),
+                reference_ns: median_ns(
+                    ABSORB_SAMPLES,
+                    || (),
+                    |()| bit_antichain::and_reference(&lhs_lists, &rhs_lists),
+                ),
+            }
+        })
+        .collect();
+    (rows, engine_stats)
 }
 
 fn mean_of(results: &[BenchResult], name: &str) -> f64 {
@@ -371,7 +638,13 @@ fn mean_of(results: &[BenchResult], name: &str) -> f64 {
         .mean_ns
 }
 
-fn record(results: &[BenchResult], work: &[WorkRow], builds: &[BuildRow]) {
+fn record(
+    results: &[BenchResult],
+    work: &[WorkRow],
+    builds: &[BuildRow],
+    absorption: &[AbsorbRow],
+    trip_stats: StoreStats,
+) {
     let mut rows = Vec::new();
     let mut eval_rows = Vec::new();
     let mut total_delta = 0.0;
@@ -418,6 +691,26 @@ fn record(results: &[BenchResult], work: &[WorkRow], builds: &[BuildRow]) {
     let trip_delta = mean_of(results, "prefix_invariance/condition_trip/delta");
     let trip_full = mean_of(results, "prefix_invariance/condition_trip/full_sweep");
     let session_decide = mean_of(results, "session/decide/prefix_invariance");
+    let trip_row = mean_of(results, "condition_trip/delta/not_eventually_within_next_r");
+    let absorb_rows: Vec<String> = absorption
+        .iter()
+        .map(|row| {
+            format!(
+                "    {{\"rows\": {}, \"cols\": {}, \"survivors\": {}, \
+                 \"store_median_ns\": {:.0}, \"reference_median_ns\": {:.0}, \
+                 \"speedup_store_vs_reference\": {:.2}}}",
+                row.rows,
+                row.cols,
+                row.survivors,
+                row.store_ns,
+                row.reference_ns,
+                row.reference_ns / row.store_ns,
+            )
+        })
+        .collect();
+    let absorb_store: f64 = absorption.iter().map(|row| row.store_ns).sum();
+    let absorb_reference: f64 = absorption.iter().map(|row| row.reference_ns).sum();
+    let absorb_speedup = absorb_reference / absorb_store;
     let hw = std::thread::available_parallelism().map_or(1, usize::from);
     let build_rows: Vec<String> = builds
         .iter()
@@ -457,7 +750,12 @@ fn record(results: &[BenchResult], work: &[WorkRow], builds: &[BuildRow]) {
          at the default cap (identical charge and reason across disciplines). session_decide \
          is the service path end to end. tableau_build rows: Graph(~A) built by the \
          closure-interned builder and by the Ltl-tree reference builder it replaced, median of \
-         15 builds each, default caps, 1 worker\",\n  \
+         15 builds each, default caps, 1 worker. condition_trip: the budget trip of the \
+         ~[ => r ] <>q condition artifact at the default cap (the costliest artifact of \
+         perfbench decide_corpus), with its StoreStats. absorption rows: the heaviest \
+         products of that trip, replayed through a fresh store's and() (interning its \
+         survivors) and through the bitset-antichain reference it replaced \
+         (tests/support/bit_antichain.rs), median of 11 runs each, unbudgeted\",\n  \
          \"condition_fixpoint\": [\n{}\n  ],\n  \
          \"condition_totals\": {{\"full_sweep_ns\": {total_full:.0}, \
          \"delta_ns\": {total_delta:.0}, \"speedup_delta_vs_full_sweep\": {:.2}}},\n  \
@@ -467,29 +765,44 @@ fn record(results: &[BenchResult], work: &[WorkRow], builds: &[BuildRow]) {
          \"condition_trip_delta_ns\": {trip_delta:.0},\n    \
          \"condition_trip_full_sweep_ns\": {trip_full:.0},\n    \
          \"session_decide_ns\": {session_decide:.0}\n  }},\n  \
-         \"tableau_build\": [\n{}\n  ]\n}}\n",
+         \"tableau_build\": [\n{}\n  ],\n  \
+         \"condition_trip\": {{\"formula\": \"{TRIP_FORMULA}\", \"delta_ns\": {trip_row:.0}, \
+         \"interned_implicants\": {}, \"interned_dnfs\": {}, \"memo_hits\": {}, \
+         \"memo_misses\": {}, \"peak_dnf_width\": {}, \"rounds\": {}}},\n  \
+         \"absorption\": [\n{}\n  ],\n  \
+         \"absorption_totals\": {{\"store_median_ns\": {absorb_store:.0}, \
+         \"reference_median_ns\": {absorb_reference:.0}, \
+         \"speedup_store_vs_reference\": {absorb_speedup:.2}}}\n}}\n",
         rows.join(",\n"),
         total_full / total_delta,
         eval_rows.join(",\n"),
         build_rows.join(",\n"),
+        trip_stats.interned_implicants,
+        trip_stats.interned_dnfs,
+        trip_stats.memo_hits,
+        trip_stats.memo_misses,
+        trip_stats.peak_dnf_width,
+        trip_stats.rounds,
+        absorb_rows.join(",\n"),
     );
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_PR7.json"].iter().collect();
     std::fs::write(&path, &json).expect("write BENCH_PR7.json");
     println!("\nrecorded {}", path.display());
 
-    // The perf gate: ceilings on the headline numbers, so CI fails on a
-    // genuine regression of the decision or of the budget-trip path — plus
-    // the evaluated-path speedup floor and the tableau-build ratio floor.
+    // The perf gate: a ceiling on the evaluated decision, the evaluated-path
+    // speedup floor, the tableau-build ratio floor, and the absorption ratio
+    // floor (which replaces the budget-trip ceiling: a trip is as fast as the
+    // products it absorbs).
     let decide_time = Duration::from_nanos(decide as u64);
-    let trip_time = Duration::from_nanos(trip_delta as u64);
     assert!(
         decide_time < DECIDE_CEILING,
         "perf gate: prefix-invariance decide took {decide_time:?} (ceiling {DECIDE_CEILING:?})"
     );
     assert!(
-        trip_time < TRIP_CEILING,
-        "perf gate: prefix-invariance condition budget trip took {trip_time:?} \
-         (ceiling {TRIP_CEILING:?})"
+        absorb_speedup >= ABSORB_SPEEDUP_FLOOR,
+        "perf gate: the store's ∧ is only {absorb_speedup:.2}x faster than the bitset-antichain \
+         reference on the {TRIP_FORMULA} trip products (floor {ABSORB_SPEEDUP_FLOOR}x; \
+         {absorb_store:.0} ns vs {absorb_reference:.0} ns)"
     );
     assert!(
         eval_floor_hits >= EVAL_SPEEDUP_MIN_FORMULAS,
@@ -508,9 +821,10 @@ fn record(results: &[BenchResult], work: &[WorkRow], builds: &[BuildRow]) {
         );
     }
     println!(
-        "perf gate: decide {decide_time:?} < {DECIDE_CEILING:?}, trip {trip_time:?} < \
-         {TRIP_CEILING:?}, evaluated ≥{EVAL_SPEEDUP_FLOOR}x on {eval_floor_hits}/{} named \
-         formulas, tableau build ≥{BUILD_SPEEDUP_FLOOR}x on {BUILD_GATED:?} — ok",
+        "perf gate: decide {decide_time:?} < {DECIDE_CEILING:?}, evaluated \
+         ≥{EVAL_SPEEDUP_FLOOR}x on {eval_floor_hits}/{} named formulas, tableau build \
+         ≥{BUILD_SPEEDUP_FLOOR}x on {BUILD_GATED:?}, absorption {absorb_speedup:.2}x \
+         ≥{ABSORB_SPEEDUP_FLOOR}x — ok",
         EVAL_SPEEDUP_CANDIDATES.len()
     );
 }
@@ -522,5 +836,6 @@ fn main() {
     let mut criterion = Criterion::default().configure_from_args();
     let work = bench_condition_fixpoint(&mut criterion);
     let builds = bench_tableau_build();
-    record(&criterion.take_results(), &work, &builds);
+    let (absorption, trip_stats) = bench_absorption();
+    record(&criterion.take_results(), &work, &builds, &absorption, trip_stats);
 }

@@ -36,7 +36,10 @@
 //!
 //! Nesting is capped at [`MAX_NESTING`] levels, so a hostile input (a few
 //! kilobytes of `(`) is a [`ParseError`] rather than a stack overflow here
-//! or in any recursive pass over the formula downstream.
+//! or in any recursive pass over the formula downstream.  Size is capped at
+//! [`MAX_FORMULA_NODES`] nodes: `a <-> b` expands to `(a -> b) & (b -> a)`,
+//! copying both sides twice, so a chain of `<->` would otherwise grow
+//! exponentially in its length.
 
 use std::fmt;
 
@@ -69,13 +72,21 @@ impl std::error::Error for ParseError {}
 /// every recursive pass over a parsed formula within a bounded stack.
 pub const MAX_NESTING: usize = 128;
 
+/// The most nodes (as counted by [`Formula::size`]) a formula parsed by
+/// [`parse_formula`] or [`parse_term`] may have.  The parser checks the
+/// budget before it expands a biconditional — the one production whose
+/// output can outgrow its input exponentially — so a `<->` chain is refused
+/// before its expansion is allocated, and checks every parsed tree against
+/// it once more at the end.
+pub const MAX_FORMULA_NODES: usize = 1 << 16;
+
 /// Parses an interval formula from its concrete syntax.
 pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
     let tokens = tokenize(input)?;
     let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let formula = parser.formula()?;
     parser.expect_end()?;
-    check_tree_depth(Node::Formula(&formula))?;
+    measure(Node::Formula(&formula))?;
     Ok(formula)
 }
 
@@ -85,7 +96,7 @@ pub fn parse_term(input: &str) -> Result<IntervalTerm, ParseError> {
     let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let term = parser.term()?;
     parser.expect_end()?;
-    check_tree_depth(Node::Term(&term))?;
+    measure(Node::Term(&term))?;
     Ok(term)
 }
 
@@ -99,13 +110,24 @@ enum Node<'a> {
     Term(&'a IntervalTerm),
 }
 
-/// Refuses a tree deeper than [`MAX_NESTING`], walking it with an explicit
-/// stack (the tree this guards against would overflow a recursive walk).
-fn check_tree_depth(root: Node<'_>) -> Result<(), ParseError> {
+fn size_error(position: usize) -> ParseError {
+    ParseError { position, message: format!("formula larger than {MAX_FORMULA_NODES} nodes") }
+}
+
+/// The node count of a parsed tree; refuses a tree deeper than
+/// [`MAX_NESTING`] or larger than [`MAX_FORMULA_NODES`], walking it with an
+/// explicit stack (the tree this guards against would overflow a recursive
+/// walk).
+fn measure(root: Node<'_>) -> Result<usize, ParseError> {
     let mut stack = vec![(root, 1)];
+    let mut nodes = 0;
     while let Some((node, depth)) = stack.pop() {
         if depth > MAX_NESTING {
             return Err(nesting_error(0));
+        }
+        nodes += 1;
+        if nodes > MAX_FORMULA_NODES {
+            return Err(size_error(0));
         }
         let mut push = |child| stack.push((child, depth + 1));
         match node {
@@ -136,7 +158,7 @@ fn check_tree_depth(root: Node<'_>) -> Result<(), ParseError> {
             }
         }
     }
-    Ok(())
+    Ok(nodes)
 }
 
 /// A concrete-syntax corpus exercising every grammar production: propositions,
@@ -445,11 +467,21 @@ impl Parser {
 
     fn formula(&mut self) -> Result<Formula, ParseError> {
         let mut left = self.impl_formula()?;
-        while self.eat(&Tok::DArrow) {
+        loop {
+            let at = self.at();
+            if !self.eat(&Tok::DArrow) {
+                return Ok(left);
+            }
             let right = self.impl_formula()?;
+            // `a <-> b` is `(~a | b) & (~b | a)`: both sides twice, plus
+            // five connectives.  Refuse before allocating a too-large one.
+            let expanded =
+                2 * (measure(Node::Formula(&left))? + measure(Node::Formula(&right))?) + 5;
+            if expanded > MAX_FORMULA_NODES {
+                return Err(size_error(at));
+            }
             left = left.iff(right);
         }
-        Ok(left)
     }
 
     fn impl_formula(&mut self) -> Result<Formula, ParseError> {
@@ -464,7 +496,9 @@ impl Parser {
 
     fn or_formula(&mut self) -> Result<Formula, ParseError> {
         let mut left = self.and_formula()?;
+        let mut operators = 0;
         while self.eat(&Tok::Pipe) {
+            self.chain_link(&mut operators)?;
             let right = self.and_formula()?;
             left = left.or(right);
         }
@@ -473,11 +507,25 @@ impl Parser {
 
     fn and_formula(&mut self) -> Result<Formula, ParseError> {
         let mut left = self.unary_formula()?;
+        let mut operators = 0;
         while self.eat(&Tok::Amp) {
+            self.chain_link(&mut operators)?;
             let right = self.unary_formula()?;
             left = left.and(right);
         }
         Ok(left)
+    }
+
+    /// Counts one more operator of a flat `&`/`|` chain.  A chain of `k`
+    /// operators is a tree at least `k + 1` deep, so the chain is refused as
+    /// soon as it is certain to exceed [`MAX_NESTING`] — before the rest of a
+    /// long chain is parsed and allocated.
+    fn chain_link(&self, operators: &mut usize) -> Result<(), ParseError> {
+        *operators += 1;
+        if *operators >= MAX_NESTING {
+            return Err(nesting_error(self.at()));
+        }
+        Ok(())
     }
 
     fn unary_formula(&mut self) -> Result<Formula, ParseError> {
@@ -773,6 +821,32 @@ mod tests {
         let term = |n: usize| format!("{}A{}", "(".repeat(n), ")".repeat(n));
         assert!(parse_term(&term(MAX_NESTING - 1)).is_ok());
         assert!(parse_term(&term(MAX_NESTING)).is_err());
+    }
+
+    #[test]
+    fn biconditional_chains_are_capped_before_they_expand() {
+        // `a <-> b` copies both sides twice, so k chained (or nested)
+        // biconditionals would build about 2^k nodes: at k = 40 that is
+        // terabytes, refused here before the expansion is allocated.
+        let chain = |k: usize| format!("P{}", " <-> P".repeat(k));
+        let nested = |k: usize| format!("{}P{}", "(P <-> ".repeat(k), ")".repeat(k));
+        for (shape, formula) in [("chain", chain(40)), ("nested", nested(40))] {
+            let error = parse_formula(&formula).expect_err(shape);
+            assert!(error.message.contains("larger than"), "{shape}: {error}");
+        }
+        // Short chains expand as before, within the budget.
+        let short = parse_formula(&chain(8)).expect("eight biconditionals fit");
+        assert!(short.size() <= MAX_FORMULA_NODES);
+        let longest = (1..40).take_while(|&k| parse_formula(&chain(k)).is_ok()).last().unwrap();
+        assert!((10..=14).contains(&longest), "the budget admits {longest} chained <->");
+        let error = parse_formula(&chain(longest + 1)).unwrap_err();
+        assert_eq!(error.position, 2 + 6 * longest, "the refused operator is reported");
+        // A flat `&` chain is refused at its first operator past the cap,
+        // however long the rest of it is.
+        let flat = format!("P{}", " & P".repeat(100_000));
+        let error = parse_formula(&flat).expect_err("flat chain");
+        assert!(error.message.contains("nesting"), "{error}");
+        assert!(error.position < 4 * MAX_NESTING + 4, "refused early: {error}");
     }
 
     #[test]

@@ -344,6 +344,21 @@ mod tests {
     }
 
     #[test]
+    fn biconditional_bombs_answer_a_structured_parse_400() {
+        // Forty chained (or nested) `<->` would expand to about 2^40 nodes;
+        // the parser's size budget refuses them before the expansion.
+        let chain = format!("P{}", " <-> P".repeat(40));
+        let nested = format!("{}P{}", "(P <-> ".repeat(40), ")".repeat(40));
+        for (shape, formula) in [("chain", chain), ("nested", nested)] {
+            let response = check_on_daemon_stack(formula);
+            assert_eq!(response.status, 400, "{shape}: {}", response.body);
+            let error = ErrorReport::from_json(&response.body).expect("structured 400");
+            assert_eq!(error.code, "parse", "{shape}");
+            assert!(error.message.contains("larger than"), "{shape}: {error}");
+        }
+    }
+
+    #[test]
     fn formulas_at_the_nesting_cap_are_answered() {
         let cap = ilogic_core::parser::MAX_NESTING;
         for (shape, formula) in NESTING_SHAPES {

@@ -26,14 +26,14 @@
 //!
 //! The §5.3 double fixpoint is where the explicit condition blows up: on
 //! the `[ => Q ] []P` family the unbudgeted fixpoint over explicit
-//! `BTreeSet` DNFs does not terminate in hours.  Tableau construction is
-//! not cheap either, and on decisions it is the larger cost.  perfbench's
-//! `--trace 1` run at seed 1 (2 hardware threads) puts `tableau.busy_ms` at
-//! 2,759 ms of the 4,379 ms of `decide_corpus` check time (63%), and a
-//! probe of the `[ => Q ] []P` decision measured 76–103 ms per tableau
-//! build against 0.4–1.2 ms for the evaluated fixpoint that follows it.
-//! Two mechanisms split the fixpoint's cost by what the caller actually
-//! needs:
+//! `BTreeSet` DNFs does not terminate in hours.  Since the tableau is
+//! interned, the condition artifact is also the largest phase of a
+//! decision: perfbench's `--trace 1` run at seed 1 (2 hardware threads)
+//! puts `algorithm_b.artifact_busy_ms` at about 230 ms of the about 720 ms
+//! of `decide_corpus` check time, nearly all of it four budget trips of
+//! `~[ => x ] <>y`, against about 60 ms for all 388 tableau builds and
+//! about 4 ms for the evaluated fixpoints.  Two mechanisms split the
+//! fixpoint's cost by what the caller actually needs:
 //!
 //! * **Decisions** ([`AlgorithmB::decide`] / [`AlgorithmB::decide_budgeted`])
 //!   never materialize a condition in the state-variable, mixed, and
@@ -1538,8 +1538,10 @@ fn fail_equation(
 
 /// Tarjan's strongly connected components, returned in reverse topological
 /// order of the condensation (components with no edges into later components
-/// come first), which is the order the fixpoint iteration wants.
-pub(crate) fn strongly_connected_components(graph: &TableauGraph) -> Vec<Vec<NodeId>> {
+/// come first), which is the order the fixpoint iteration wants.  Public so
+/// that replays of the fixpoint (the `condition_fixpoint` bench) visit the
+/// components in the engine's order.
+pub fn strongly_connected_components(graph: &TableauGraph) -> Vec<Vec<NodeId>> {
     struct Tarjan<'g> {
         graph: &'g TableauGraph,
         index: Vec<Option<usize>>,

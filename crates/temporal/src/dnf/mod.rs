@@ -17,8 +17,9 @@
 //!   on.  Implicants are hash-consed to `Copy` [`store::ImplicantId`]s
 //!   (each distinct atom set stored once), whole antichains to
 //!   [`store::DnfId`]s (equality = id equality), `∧`/`∨` products are
-//!   memoized per `(DnfId, DnfId)` pair, and absorption is an incremental
-//!   bitset-probe insert that never materializes the pre-absorption product.
+//!   memoized per `(DnfId, DnfId)` pair, and absorption is one size-ordered
+//!   pass over a per-atom index that interns each survivor as it is admitted
+//!   and never interns a discarded candidate.
 //!   See the [`store`] module documentation for the design and the
 //!   frozen-sweep concurrency discipline.
 //!

@@ -25,14 +25,15 @@
 //!   since the last round costs a handful of hash lookups — and the PR 7
 //!   worklist engine goes one step further and never re-visits such an
 //!   equation at all (see [`StoreStats::equations_skipped`]).
-//! * **Absorption is incremental and pre-interning**: products stream
-//!   through a bitset antichain builder — implicants as flat bitsets over the atom
-//!   universe, subsumption a few early-exiting word comparisons, candidates
-//!   that absorption discards never allocated, interned, or charged; there
-//!   is no quadratic all-pairs rebuild and no pre-absorption
-//!   materialization.  Structural shortcuts (row collapse, per-row residual
-//!   minimization — see [`ConditionStore::and`]) keep the common fixpoint
-//!   products far below their nominal pair counts.
+//! * **Absorption is size-ordered, indexed and pre-interning**: a product
+//!   stages its candidate implicants (after two structural shortcuts — row
+//!   collapse and per-row residual minimization, see
+//!   [`ConditionStore::and`]), visits them by ascending atom count, and keeps
+//!   a candidate iff no kept member is a subset of it, asking a per-atom
+//!   index instead of scanning every member.  In that order a kept member is
+//!   never killed, so survivors are interned the moment they are admitted and
+//!   candidates that absorption discards are never interned or charged.  The
+//!   kernel's buffers belong to the store and are reused by every product.
 //! * **Budgets charge distinct implicants**: every *newly interned* implicant
 //!   charges one unit to the shared [`DnfBudget`] cell
 //!   ([`DnfBudget::charge`]).  Re-deriving an implicant the computation has
@@ -208,9 +209,11 @@ pub struct ConditionStore {
     /// pair.
     and_memo: StoreMap<(DnfId, DnfId), DnfId>,
     or_memo: StoreMap<(DnfId, DnfId), DnfId>,
-    /// One past the largest atom interned so far — the width of the bitset
-    /// universe the product builders work over.
+    /// One past the largest atom interned so far — the universe the
+    /// absorption kernel's probe bitset and per-atom index cover.
     atom_bound: u32,
+    /// The absorption kernel and its reused scratch buffers.
+    absorber: Absorber,
     stats: StoreStats,
 }
 
@@ -293,23 +296,22 @@ impl ConditionStore {
 
     /// Interns the sorted atom list `atoms`, charging the budget if it is
     /// new; `None` when the charge trips the budget.
-    fn intern_implicant(&mut self, atoms: Box<[u32]>, budget: &DnfBudget) -> Option<ImplicantId> {
+    fn intern_implicant(&mut self, atoms: &[u32], budget: &DnfBudget) -> Option<ImplicantId> {
         debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "implicant atoms must be sorted");
-        match self.implicant_lookup.entry(atoms) {
-            Entry::Occupied(hit) => Some(*hit.get()),
-            Entry::Vacant(slot) => {
-                if !budget.charge(1) {
-                    return None;
-                }
-                let id = ImplicantId(u32::try_from(self.implicants.len()).ok()?);
-                if let Some(&last) = slot.key().last() {
-                    self.atom_bound = self.atom_bound.max(last + 1);
-                }
-                self.implicants.push(slot.key().clone());
-                self.stats.interned_implicants += 1;
-                Some(*slot.insert(id))
-            }
+        if let Some(&hit) = self.implicant_lookup.get(atoms) {
+            return Some(hit);
         }
+        if !budget.charge(1) {
+            return None;
+        }
+        let id = ImplicantId(u32::try_from(self.implicants.len()).ok()?);
+        if let Some(&last) = atoms.last() {
+            self.atom_bound = self.atom_bound.max(last + 1);
+        }
+        self.implicants.push(atoms.into());
+        self.implicant_lookup.insert(atoms.into(), id);
+        self.stats.interned_implicants += 1;
+        Some(id)
     }
 
     /// Interns an antichain given as an unsorted, possibly duplicated
@@ -336,7 +338,7 @@ impl ConditionStore {
     /// interning a new implicant trips the budget.
     pub fn atom(&mut self, atom: usize, budget: &DnfBudget) -> Option<DnfId> {
         let atom = u32::try_from(atom).ok()?;
-        let implicant = self.intern_implicant(Box::from([atom]), budget)?;
+        let implicant = self.intern_implicant(&[atom], budget)?;
         Some(self.intern_antichain(vec![implicant]))
     }
 
@@ -345,9 +347,9 @@ impl ConditionStore {
     pub fn intern_dnf(&mut self, dnf: &Dnf, budget: &DnfBudget) -> Option<DnfId> {
         let mut members = Vec::with_capacity(dnf.implicant_count());
         for implicant in dnf.implicants() {
-            let atoms: Box<[u32]> =
+            let atoms: Vec<u32> =
                 implicant.iter().map(|&atom| u32::try_from(atom).ok()).collect::<Option<_>>()?;
-            members.push(self.intern_implicant(atoms, budget)?);
+            members.push(self.intern_implicant(&atoms, budget)?);
         }
         // A `Dnf` is canonical (minimal) by construction, so the members
         // already form an antichain.
@@ -363,48 +365,13 @@ impl ConditionStore {
         Dnf::from_implicants_unchecked(implicants)
     }
 
-    /// Number of `u64` words a bitset over the currently interned atom
-    /// universe needs.
-    fn bit_words(&self) -> usize {
-        (self.atom_bound as usize).div_ceil(64).max(1)
-    }
-
-    /// Writes implicant `imp`'s atom set as a bitset into `out` (sized
-    /// `words`).
-    fn implicant_bits(&self, imp: ImplicantId, out: &mut [u64]) {
-        out.fill(0);
-        for &atom in &self.implicants[imp.0 as usize] {
-            out[(atom / 64) as usize] |= 1u64 << (atom % 64);
-        }
-    }
-
-    /// The sorted atom list behind a bitset row.
-    fn atoms_of_bits(bits: &[u64]) -> Box<[u32]> {
-        let mut atoms = Vec::new();
-        for (w, &word) in bits.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let bit = rest.trailing_zeros();
-                atoms.push(w as u32 * 64 + bit);
-                rest &= rest - 1;
-            }
-        }
-        atoms.into()
-    }
-
-    /// The members of `id` sorted by ascending atom-set size (then id):
-    /// feeding products and disjunctions shortest-first makes absorption
-    /// maximally eager.  The minimal DNF is unique, so processing order can
-    /// never change a result — only how much transient work a builder holds.
-    fn by_len(&self, id: DnfId) -> Vec<ImplicantId> {
-        let mut members = self.dnfs[id.0 as usize].to_vec();
-        members.sort_by_key(|&imp| (self.implicants[imp.0 as usize].len(), imp));
-        members
-    }
-
     /// Disjunction of two interned conditions.  Infallible in the budget
     /// sense — every implicant of the result already exists in one of the
     /// operands, so nothing new is interned or charged — but still memoized.
+    ///
+    /// The members of both operands are the candidates of one absorption
+    /// pass (see [`ConditionStore::and`]); the survivors are already-interned
+    /// ids.
     pub fn or(&mut self, a: DnfId, b: DnfId) -> DnfId {
         if a == b || b == Self::BOTTOM {
             return a;
@@ -421,18 +388,22 @@ impl ConditionStore {
             return hit;
         }
         self.stats.memo_misses += 1;
-        let mut candidates = self.by_len(a);
-        candidates.extend(self.by_len(b));
-        candidates.sort_by_key(|&imp| (self.implicants[imp.0 as usize].len(), imp));
-        candidates.dedup();
-        let words = self.bit_words();
-        let mut builder = BitAntichain::new(words);
-        let mut bits = vec![0u64; words];
-        for &imp in &candidates {
-            self.implicant_bits(imp, &mut bits);
-            builder.offer(&bits, imp);
+        let mut absorber = std::mem::take(&mut self.absorber);
+        absorber.begin(self.atom_bound);
+        let mut members = std::mem::take(&mut absorber.members);
+        members.clear();
+        members.extend(self.dnfs[a.0 as usize].iter().chain(self.dnfs[b.0 as usize].iter()));
+        for &imp in &members {
+            absorber.candidates.push_atoms(&self.implicants[imp.0 as usize]);
         }
-        let result = self.intern_antichain(builder.tags);
+        let mut survivors = Vec::with_capacity(members.len());
+        absorber.absorb(|candidate, _| {
+            survivors.push(members[candidate]);
+            true
+        });
+        absorber.members = members;
+        self.absorber = absorber;
+        let result = self.intern_antichain(survivors);
         self.or_memo.insert(key, result);
         result
     }
@@ -441,26 +412,32 @@ impl ConditionStore {
     /// implicant sets.  `None` when interning a *surviving* product implicant
     /// trips the shared budget (the cell is left tripped for every sharer).
     ///
-    /// The product never materializes pre-absorption: pairwise unions are
-    /// single-word-op bitset ORs streamed through a bitset antichain, where a
-    /// candidate subsumed by the running minimal antichain dies on a probe
-    /// (a few early-exiting word comparisons) and kills the members it
-    /// strictly shrinks.  Only the survivors — the implicants of the
-    /// canonical result — are interned and charged; on the measured
-    /// `[ => Q ] []P` fixpoint the discarded transients outnumber them by two
-    /// orders of magnitude.
+    /// The product is computed in two steps, both over scratch buffers the
+    /// store keeps across products:
     ///
-    /// Two structural shortcuts keep the common fixpoint products far below
-    /// the nominal `|a|·|b|` pair count:
+    /// 1. **Candidates.**  Rows come from the wider operand, columns from
+    ///    the narrower one.  A row `ia` contributes `ia ∪ ib` for its
+    ///    columns `ib`, with two shortcuts that keep the common fixpoint
+    ///    products far below the nominal `|a|·|b|` pair count:
+    ///    * **Row collapse** — if some column is a subset of `ia`, the row
+    ///      yields just `ia` (its union with that column *is* `ia`, and every
+    ///      other union is a superset).  The fixpoint's terms all carry a
+    ///      singleton edge atom, so rows that mention any of the term's
+    ///      edges collapse.
+    ///    * **Minimal residuals** — `ia ∪ ib = ia ∪ (ib ∖ ia)`, and a
+    ///      residual that contains another residual of the same row gives a
+    ///      superset, so only the row's minimal residuals become candidates.
+    /// 2. **Absorption.**  One size-ordered, indexed forward pass keeps
+    ///    exactly the candidates no other candidate is a subset of (see the
+    ///    [module documentation](self)).  A kept member is never killed, so
+    ///    each survivor is interned — and, if new, charged — the moment it is
+    ///    admitted, and a budget trip stops the product at the first
+    ///    survivor over the cap.  Absorbed candidates are never interned or
+    ///    charged.
     ///
-    /// * **Row collapse** — if some column implicant is a subset of row
-    ///   implicant `ia`, the whole row yields just `ia` (its union with that
-    ///   column *is* `ia`, and every other union is a superset).  The
-    ///   fixpoint's terms all carry a singleton edge atom, so rows whose
-    ///   implicant mentions any of the term's edges collapse without a single
-    ///   union.
-    /// * **Wider-side rows** — rows come from the wider operand, maximizing
-    ///   collapse opportunities.
+    /// The minimal DNF is unique, so neither the candidate order nor the
+    /// admission order can change the result, and the trip point is the
+    /// same count of new survivors however they are ordered.
     pub fn and(&mut self, a: DnfId, b: DnfId, budget: &DnfBudget) -> Option<DnfId> {
         if a == Self::BOTTOM || b == Self::BOTTOM {
             return Some(Self::BOTTOM);
@@ -477,64 +454,27 @@ impl ConditionStore {
             return Some(hit);
         }
         self.stats.memo_misses += 1;
-        let (rows, cols) = if self.width(a) >= self.width(b) {
-            (self.by_len(a), self.by_len(b))
-        } else {
-            (self.by_len(b), self.by_len(a))
-        };
-        let words = self.bit_words();
-        let mut col_bits = vec![0u64; words * cols.len()];
-        for (c, &ib) in cols.iter().enumerate() {
-            self.implicant_bits(ib, &mut col_bits[c * words..(c + 1) * words]);
-        }
-        let mut builder = BitAntichain::new(words);
-        let mut residuals = BitAntichain::new(words);
-        let mut row_bits = vec![0u64; words];
-        let mut scratch = vec![0u64; words];
-        'rows: for (row, &ia) in rows.iter().enumerate() {
-            // Nothing is interned until the survivors are known, so the
-            // budget cannot trip mid-product — but a deadline/cancellation
-            // (or another sharer's trip) should still cut a huge product
-            // promptly.
-            if row % 64 == 0 && budget.poll_interrupts() {
-                return None;
-            }
-            self.implicant_bits(ia, &mut row_bits);
-            // A member already ⊆ ia subsumes every union of this row.
-            if builder.contains_subset_of(&row_bits) {
-                continue;
-            }
-            // Per-row residual filter: the row's candidates are
-            // `ia ∪ ib = ia ∪ (ib ∖ ia)`, so within the row only the
-            // *minimal residuals* `ib ∖ ia` matter — `res ⊆ res'` makes the
-            // second union a superset of the first.  An empty residual
-            // (`ib ⊆ ia`) collapses the whole row to `ia` itself.  On the
-            // dense fixpoint products this turns thousands of global
-            // antichain offers per row into a handful.
-            residuals.clear();
-            for c in 0..cols.len() {
-                let mut empty = true;
-                for (w, &col_word) in col_bits[c * words..(c + 1) * words].iter().enumerate() {
-                    scratch[w] = col_word & !row_bits[w];
-                    empty &= scratch[w] == 0;
+        let (rows, cols) = if self.width(a) >= self.width(b) { (a, b) } else { (b, a) };
+        let mut absorber = std::mem::take(&mut self.absorber);
+        absorber.begin(self.atom_bound);
+        let generated = absorber.product(
+            &self.implicants,
+            &self.dnfs[rows.0 as usize],
+            &self.dnfs[cols.0 as usize],
+            budget,
+        );
+        let mut survivors = Vec::new();
+        let complete = generated
+            && absorber.absorb(|_, atoms| match self.intern_implicant(atoms, budget) {
+                Some(id) => {
+                    survivors.push(id);
+                    true
                 }
-                if empty {
-                    builder.offer(&row_bits, ());
-                    continue 'rows;
-                }
-                residuals.offer(&scratch, ());
-            }
-            for r in 0..residuals.len() {
-                for (w, &res_word) in residuals.row(r).iter().enumerate() {
-                    scratch[w] = row_bits[w] | res_word;
-                }
-                builder.offer(&scratch, ());
-            }
-        }
-        let mut survivors = Vec::with_capacity(builder.len());
-        for m in 0..builder.len() {
-            let atoms = Self::atoms_of_bits(builder.row(m));
-            survivors.push(self.intern_implicant(atoms, budget)?);
+                None => false,
+            });
+        self.absorber = absorber;
+        if !complete {
+            return None;
         }
         let result = self.intern_antichain(survivors);
         self.and_memo.insert(key, result);
@@ -560,92 +500,315 @@ impl ConditionStore {
     }
 }
 
-/// Streaming minimal-antichain builder over implicant *bitsets*, with two-way
-/// absorption.
-///
-/// Members are flat bitset rows (`words` `u64`s each) over the store's atom
-/// universe; an optional tag of type `T` rides along with each row
-/// ([`ConditionStore::or`] tags rows with their already-interned
-/// [`ImplicantId`]s, products use `()`).  [`BitAntichain::offer`] checks the
-/// candidate against every live member with early-exiting word operations —
-/// `member ⊆ candidate` drops the candidate, `candidate ⊂ member` kills the
-/// member (swap-removed; the surviving *set* is the unique minimal antichain,
-/// so member order is immaterial).  On the dense, heavily-overlapping
-/// implicants of the condition fixpoint this probe is an order of magnitude
-/// faster than an inverted-index hit count, whose per-atom posting lists grow
-/// with exactly the density that makes the probe hot.
-struct BitAntichain<T> {
-    words: usize,
-    /// Flattened live member rows: member `m` occupies
-    /// `rows[m * words .. (m + 1) * words]`.
-    rows: Vec<u64>,
-    /// Per-member tags, parallel to the rows.
-    tags: Vec<T>,
+/// Sparse bitsets over the atom universe, flattened into one buffer.  A set
+/// is the ascending list of its non-zero `(word index, word)` pairs, so a
+/// subset test, a difference or a union costs one word operation per
+/// non-zero word: a handful on a narrow universe, at most one per atom on a
+/// wide one.  Each set also carries its atom count and a one-word signature
+/// (the OR of its words) that pre-filters subset tests.
+#[derive(Debug, Default)]
+struct WordSets {
+    /// Set `i` is `words[starts[i]..starts[i + 1]]`.
+    words: Vec<(u32, u64)>,
+    starts: Vec<u32>,
+    sizes: Vec<u32>,
+    signatures: Vec<u64>,
 }
 
-impl<T> BitAntichain<T> {
-    fn new(words: usize) -> BitAntichain<T> {
-        BitAntichain { words: words.max(1), rows: Vec::new(), tags: Vec::new() }
-    }
-
-    /// Number of live members.
-    fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Empties the builder, keeping its allocations.
+impl WordSets {
+    /// Drops every set, keeping the allocations.
     fn clear(&mut self) {
-        self.rows.clear();
-        self.tags.clear();
+        self.words.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        self.sizes.clear();
+        self.signatures.clear();
     }
 
-    /// The bitset row of member `m`.
-    fn row(&self, m: usize) -> &[u64] {
-        &self.rows[m * self.words..(m + 1) * self.words]
+    fn len(&self) -> usize {
+        self.sizes.len()
     }
 
-    /// `true` iff some live member is a subset of `candidate` (leaves the
-    /// builder unchanged) — the probe behind the row-collapse shortcut in
-    /// [`ConditionStore::and`].
-    fn contains_subset_of(&self, candidate: &[u64]) -> bool {
-        (0..self.len()).any(|m| self.row(m).iter().zip(candidate).all(|(&mw, &cw)| mw & !cw == 0))
+    fn get(&self, i: usize) -> &[(u32, u64)] {
+        &self.words[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
-    /// Offers a candidate implicant: inserted (with `tag`) unless a live
-    /// member subsumes it; live members it strictly shrinks are killed.
-    fn offer(&mut self, candidate: &[u64], tag: T) {
-        let mut m = 0;
-        while m < self.len() {
-            let row = &self.rows[m * self.words..(m + 1) * self.words];
-            let mut member_minus_candidate = 0u64;
-            let mut candidate_minus_member = 0u64;
-            for (&mw, &cw) in row.iter().zip(candidate) {
-                member_minus_candidate |= mw & !cw;
-                candidate_minus_member |= cw & !mw;
-                if member_minus_candidate != 0 && candidate_minus_member != 0 {
-                    break;
-                }
+    /// Seals the set whose words were appended since `start`; `false` when
+    /// it is empty.
+    fn seal(&mut self, start: usize) -> bool {
+        let (size, signature) = self.words[start..]
+            .iter()
+            .fold((0, 0), |(size, sig), &(_, word)| (size + word.count_ones(), sig | word));
+        self.sizes.push(size);
+        self.signatures.push(signature);
+        self.starts.push(u32::try_from(self.words.len()).expect("more than u32::MAX words"));
+        size > 0
+    }
+
+    /// Appends the set of the sorted atom list `atoms`.
+    fn push_atoms(&mut self, atoms: &[u32]) {
+        let start = self.words.len();
+        for &atom in atoms {
+            let (w, bit) = (atom / 64, 1u64 << (atom % 64));
+            match self.words[start..].last_mut() {
+                Some((last, word)) if *last == w => *word |= bit,
+                _ => self.words.push((w, bit)),
             }
-            if member_minus_candidate == 0 {
-                // member ⊆ candidate (equality included): drop the candidate.
-                return;
+        }
+        self.seal(start);
+    }
+
+    /// Appends `set ∖ dense` (`dense` a plain bitset); `false` when that is
+    /// empty.
+    fn push_difference(&mut self, set: &[(u32, u64)], dense: &[u64]) -> bool {
+        let start = self.words.len();
+        self.words.extend(
+            set.iter()
+                .map(|&(w, word)| (w, word & !dense[w as usize]))
+                .filter(|&(_, word)| word != 0),
+        );
+        self.seal(start)
+    }
+
+    /// Appends `a ∪ b`.
+    fn push_union(&mut self, a: &[(u32, u64)], b: &[(u32, u64)]) {
+        let start = self.words.len();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((wa, xa), (wb, xb)) = (a[i], b[j]);
+            if wa < wb {
+                self.words.push((wa, xa));
+                i += 1;
+            } else if wb < wa {
+                self.words.push((wb, xb));
+                j += 1;
+            } else {
+                self.words.push((wa, xa | xb));
+                i += 1;
+                j += 1;
             }
-            if candidate_minus_member == 0 {
-                // candidate ⊂ member: kill the member (swap-remove its row
-                // and tag; `m` is re-examined with the swapped-in row).
-                let last = self.len() - 1;
-                if m != last {
-                    let (head, tail) = self.rows.split_at_mut(last * self.words);
-                    head[m * self.words..(m + 1) * self.words].copy_from_slice(&tail[..self.words]);
-                }
-                self.rows.truncate(last * self.words);
-                self.tags.swap_remove(m);
+        }
+        self.words.extend_from_slice(&a[i..]);
+        self.words.extend_from_slice(&b[j..]);
+        self.seal(start);
+    }
+
+    /// `true` iff set `m` is a subset of set `i`.
+    fn is_subset(&self, m: usize, i: usize) -> bool {
+        if self.signatures[m] & !self.signatures[i] != 0 || self.sizes[m] > self.sizes[i] {
+            return false;
+        }
+        let mut big = self.get(i).iter();
+        self.get(m).iter().all(|&(w, word)| {
+            big.by_ref()
+                .find(|&&(bw, _)| bw >= w)
+                .is_some_and(|&(bw, big_word)| bw == w && word & !big_word == 0)
+        })
+    }
+
+    /// Set indices ordered by ascending atom count (then index).
+    fn by_size(&self, order: &mut Vec<u32>) {
+        order.clear();
+        order.extend(0..self.len() as u32);
+        order.sort_unstable_by_key(|&i| (self.sizes[i as usize], i));
+    }
+}
+
+/// Calls `f` on every atom of a sparse bitset, ascending.
+#[inline]
+fn for_each_atom(set: &[(u32, u64)], mut f: impl FnMut(u32)) {
+    for &(w, word) in set {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros());
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// The absorption kernel behind [`ConditionStore::and`] and
+/// [`ConditionStore::or`], with the scratch buffers it reuses across
+/// products.
+///
+/// A product first stages its candidate implicants as sparse bitsets
+/// ([`WordSets`]); [`Absorber::absorb`] then keeps exactly the minimal ones.
+/// Candidates are visited in ascending atom count, so a candidate can only be
+/// absorbed by a member kept before it and a kept member is never killed: the
+/// survivors stream out of a single forward pass, final the moment they are
+/// admitted.  The query "is some kept member a subset of this candidate?"
+/// goes through a per-atom index: each kept member is registered under one of
+/// its atoms, and a member that is a subset of the candidate is registered
+/// under one of the candidate's atoms, so the query walks only those lists,
+/// testing each listed member word by word against a dense bitset of the
+/// candidate behind the signature pre-filter.
+///
+/// The buffers belong to the store and keep their allocations; a pass clears
+/// only the index lists it filled.
+#[derive(Debug, Default)]
+struct Absorber {
+    /// The staged candidates.
+    candidates: WordSets,
+    /// Candidate indices in visiting order.
+    order: Vec<u32>,
+    /// Dense bitset of the candidate (or product row) under test; all zero
+    /// between uses.
+    probe: Vec<u64>,
+    /// Atom → the signatures and indices of the kept candidates registered
+    /// under it.
+    index: Vec<Vec<(u64, u32)>>,
+    /// Atoms whose index list the current pass filled.
+    touched: Vec<u32>,
+    /// Atom → how many candidates not yet visited contain it; all zero
+    /// between passes.
+    pending: Vec<u32>,
+    /// The atoms of the candidate under test, ascending.
+    atoms: Vec<u32>,
+    /// The columns of a product, and the row under expansion.
+    columns: WordSets,
+    row: WordSets,
+    /// One row's residuals, their visiting order, and the minimal ones kept.
+    residuals: WordSets,
+    residual_order: Vec<u32>,
+    residual_kept: Vec<u32>,
+    /// The operand members of a disjunction, by candidate index.
+    members: Vec<ImplicantId>,
+}
+
+impl Absorber {
+    /// Starts a product over atoms below `atom_bound`: drops the previous
+    /// candidates and sizes the probe, the index and the pending counts.
+    fn begin(&mut self, atom_bound: u32) {
+        self.candidates.clear();
+        let atom_bound = atom_bound as usize;
+        let words = atom_bound.div_ceil(64).max(1);
+        if self.probe.len() < words {
+            self.probe.resize(words, 0);
+        }
+        if self.index.len() < atom_bound {
+            self.index.resize_with(atom_bound, Vec::new);
+            self.pending.resize(atom_bound, 0);
+        }
+    }
+
+    /// Stages the candidates of the product `rows ∧ cols` (implicant ids
+    /// into `implicants`): per row, the row itself if some column is a
+    /// subset of it, else its unions with its minimal residuals (see
+    /// [`ConditionStore::and`]).  Polls the budget's timing cutoffs every 64
+    /// rows; `false` when one fired (or another sharer tripped the cell).
+    fn product(
+        &mut self,
+        implicants: &[Box<[u32]>],
+        rows: &[ImplicantId],
+        cols: &[ImplicantId],
+        budget: &DnfBudget,
+    ) -> bool {
+        self.columns.clear();
+        for &ib in cols {
+            self.columns.push_atoms(&implicants[ib.0 as usize]);
+        }
+        for (r, &ia) in rows.iter().enumerate() {
+            // Nothing is interned while candidates are staged, so the budget
+            // cannot trip here — but a deadline/cancellation (or another
+            // sharer's trip) should still cut a huge product promptly.
+            if r % 64 == 0 && budget.poll_interrupts() {
+                return false;
+            }
+            self.row.clear();
+            self.row.push_atoms(&implicants[ia.0 as usize]);
+            let row = self.row.get(0);
+            for &(w, word) in row {
+                self.probe[w as usize] = word;
+            }
+            self.residuals.clear();
+            let collapsed = (0..self.columns.len())
+                .any(|c| !self.residuals.push_difference(self.columns.get(c), &self.probe));
+            for &(w, _) in row {
+                self.probe[w as usize] = 0;
+            }
+            if collapsed {
+                self.candidates.push_union(row, &[]);
                 continue;
             }
-            m += 1;
+            let residuals = &self.residuals;
+            residuals.by_size(&mut self.residual_order);
+            self.residual_kept.clear();
+            for &k in &self.residual_order {
+                let k = k as usize;
+                if !self.residual_kept.iter().any(|&j| residuals.is_subset(j as usize, k)) {
+                    self.residual_kept.push(k as u32);
+                    self.candidates.push_union(row, residuals.get(k));
+                }
+            }
         }
-        self.rows.extend_from_slice(candidate);
-        self.tags.push(tag);
+        true
+    }
+
+    /// The forward pass over the staged candidates: calls `admit(i, atoms)`
+    /// for each candidate `i` that no other candidate is a subset of (once
+    /// per distinct survivor, with its sorted atom list), in ascending atom
+    /// count.  Stops and returns `false` as soon as `admit` does; `true` once
+    /// every candidate was visited.
+    ///
+    /// A kept member is registered under the atom of it that the fewest
+    /// candidates still to be visited contain — exactly the number of later
+    /// queries that will walk it there.
+    fn absorb(&mut self, mut admit: impl FnMut(usize, &[u32]) -> bool) -> bool {
+        let Absorber { candidates, order, probe, index, touched, pending, atoms, .. } = self;
+        candidates.by_size(order);
+        for_each_atom(&candidates.words, |atom| pending[atom as usize] += 1);
+        let mut complete = true;
+        for &i in order.iter() {
+            let i = i as usize;
+            let candidate = candidates.get(i);
+            atoms.clear();
+            if candidate.is_empty() {
+                // The empty implicant is a subset of every later candidate.
+                complete = admit(i, atoms);
+                break;
+            }
+            for &(w, word) in candidate {
+                probe[w as usize] = word;
+            }
+            for_each_atom(candidate, |atom| {
+                atoms.push(atom);
+                pending[atom as usize] -= 1;
+            });
+            let signature = candidates.signatures[i];
+            let absorbed = atoms.iter().any(|&atom| {
+                index[atom as usize].iter().any(|&(member_signature, m)| {
+                    member_signature & !signature == 0
+                        && candidates
+                            .get(m as usize)
+                            .iter()
+                            .all(|&(w, word)| word & !probe[w as usize] == 0)
+                })
+            });
+            for &(w, _) in candidate {
+                probe[w as usize] = 0;
+            }
+            if absorbed {
+                continue;
+            }
+            if !admit(i, atoms) {
+                complete = false;
+                break;
+            }
+            let home = *atoms
+                .iter()
+                .min_by_key(|&&atom| pending[atom as usize])
+                .expect("a non-empty candidate has an atom");
+            let list = &mut index[home as usize];
+            if list.is_empty() {
+                touched.push(home);
+            }
+            list.push((signature, i as u32));
+        }
+        for &atom in touched.iter() {
+            index[atom as usize].clear();
+        }
+        touched.clear();
+        for_each_atom(&candidates.words, |atom| pending[atom as usize] = 0);
+        complete
     }
 }
 
