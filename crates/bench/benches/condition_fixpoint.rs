@@ -1,7 +1,10 @@
-//! Experiment `PR7`: the semi-naive worklist condition fixpoint vs the PR 5
-//! full-sweep (Jacobi) discipline — plus the PR 3 `BTreeSet` baseline for
+//! The condition-fixpoint experiment: the semi-naive worklist engine vs the
+//! full-sweep (Jacobi) discipline — plus the `BTreeSet` baseline for
 //! context — on the Appendix B §5.3 condition fixpoint, and the evaluated
 //! (Boolean-projected) worklist on the measured `[ => Q ] []P` blowup family.
+//! The full sweep, its Boolean projection and the baseline are the test-only
+//! references of `tests/support/fixpoint_reference.rs`, included here
+//! through `#[path]`.
 //!
 //! Four claims are measured (and asserted before timing):
 //!
@@ -10,9 +13,9 @@
 //!    the full sweep and the baseline — while evaluating strictly fewer
 //!    equations (the skip rate is recorded per formula).
 //! 2. The Boolean-projected worklist — the per-call path of an evaluated
-//!    decision — beats the PR 5 Boolean sweep by amortizing the per-tableau
-//!    plan (SCCs, reverse-dependency CSR, fulfillment tables) the anchor
-//!    re-derives on every call, at the identical answer.
+//!    decision — beats the Boolean full-sweep reference by amortizing the
+//!    per-tableau plan (SCCs, reverse-dependency CSR, fulfillment tables) the
+//!    reference re-derives on every call, at the identical answer.
 //! 3. On the prefix-invariance family the explicit condition is intractable
 //!    under every discipline, but all trip their budgets fast and identically
 //!    (same reason, same distinct-implicant charge for the two interned
@@ -51,16 +54,14 @@ use ilogic_core::dsl::*;
 use ilogic_core::ltl_translate::to_ltl;
 use ilogic_core::parser::parse_formula;
 use ilogic_temporal::algorithm_b::{
-    condition_of_graph_baseline, condition_of_graph_budgeted_stats,
-    condition_of_graph_full_sweep_stats, evaluate_condition_at_budgeted_stats,
-    evaluate_condition_at_full_sweep_stats, strongly_connected_components, AlgorithmB, Decision,
+    condition_of_graph_budgeted_stats, evaluate_condition_at_budgeted_stats, AlgorithmB, Decision,
 };
-use ilogic_temporal::dnf::store::{ConditionStore, DnfId, StoreStats};
+use ilogic_temporal::dnf::store::{ConditionStore, StoreStats};
 use ilogic_temporal::dnf::{Dnf, DnfBudget};
 use ilogic_temporal::patterns;
-use ilogic_temporal::pool::{Exhaustion, Parallelism, ResourceBudget};
+use ilogic_temporal::pool::{Parallelism, ResourceBudget};
 use ilogic_temporal::syntax::{Ltl, VarSpec};
-use ilogic_temporal::tableau::{NodeId, TableauGraph};
+use ilogic_temporal::tableau::TableauGraph;
 use ilogic_temporal::theory::PropositionalTheory;
 
 #[path = "../../../tests/support/tableau_reference.rs"]
@@ -68,6 +69,11 @@ mod tableau_reference;
 
 #[path = "../../../tests/support/bit_antichain.rs"]
 mod bit_antichain;
+
+#[path = "../../../tests/support/fixpoint_reference.rs"]
+mod fixpoint_reference;
+
+use fixpoint_reference::{condition_baseline, condition_full_sweep, evaluate_full_sweep};
 
 /// Wall-clock ceiling on the evaluated decision for the CI perf gate, well
 /// above the release measurement on a 2-thread host (~2 ms).
@@ -88,7 +94,7 @@ const ABSORB_PRODUCTS: usize = 3;
 const TRIP_FORMULA: &str = "~[ => r ] <>q";
 
 /// The evaluated-path speedup floor: the worklist engine's Boolean
-/// projection must beat the PR 5 sweep by at least this factor on at least
+/// projection must beat the full-sweep reference by at least this factor on at least
 /// [`EVAL_SPEEDUP_MIN_FORMULAS`] of the named formulas (measured margins sit
 /// near 2x, so only a real regression — not noise — crosses the floor).
 const EVAL_SPEEDUP_FLOOR: f64 = 1.5;
@@ -119,8 +125,8 @@ fn prefix_invariance_ltl() -> Ltl {
 }
 
 /// Builds `Graph(¬formula)` with its public edge shapes materialised, so
-/// clones carry them and the anchors that read them (the full sweep and the
-/// baseline) time only their fixpoint.
+/// the references that read them (the full sweeps and the baseline) time
+/// only their fixpoint.
 fn build_graph(formula: &Ltl) -> TableauGraph {
     let graph = TableauGraph::try_build_budgeted(
         &formula.clone().not(),
@@ -132,7 +138,7 @@ fn build_graph(formula: &Ltl) -> TableauGraph {
     graph
 }
 
-/// Per-formula work accounting of the two interned disciplines, captured
+/// Per-formula work accounting of the worklist engine and the full sweep, captured
 /// once before timing and recorded alongside the wall-clock rows.
 struct WorkRow {
     name: String,
@@ -164,23 +170,24 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
         let graph = build_graph(&formula);
         let (delta, delta_stats) =
             condition_of_graph_budgeted_stats(graph.clone(), &unbounded, Parallelism::Off);
-        let (full, full_stats) =
-            condition_of_graph_full_sweep_stats(graph.clone(), &unbounded, Parallelism::Off);
+        let full_sweep = condition_full_sweep(&graph, &unbounded);
+        let full_stats = full_sweep.store.stats();
         let delta = delta.unwrap_or_else(|cut| panic!("{name}: worklist fixpoint tripped {cut}"));
-        let full = full.unwrap_or_else(|cut| panic!("{name}: full sweep tripped {cut}"));
+        let full =
+            full_sweep.condition.unwrap_or_else(|cut| panic!("{name}: full sweep tripped {cut}"));
         let atoms_false = vec![false; graph.edge_count()];
         let (eval_delta, eval_delta_stats) =
             evaluate_condition_at_budgeted_stats(&graph, &atoms_false, &unbounded);
-        let (eval_full, eval_full_stats) =
-            evaluate_condition_at_full_sweep_stats(&graph, &atoms_false, &unbounded);
+        let (eval_full, eval_full_stats) = evaluate_full_sweep(&graph, &atoms_false, &unbounded);
         assert_eq!(
             eval_delta, eval_full,
             "{name}: the Boolean-projected worklist and sweep disagree"
         );
-        let baseline = condition_of_graph_baseline(graph, &unbounded, Parallelism::Off)
+        let baseline = condition_baseline(&graph, &unbounded)
+            .0
             .unwrap_or_else(|cut| panic!("{name}: baseline fixpoint tripped {cut}"));
-        assert_eq!(delta.dnf(), full.dnf(), "{name}: worklist and full sweep disagree");
-        assert_eq!(delta.dnf(), baseline.dnf(), "{name}: worklist and baseline disagree");
+        assert_eq!(delta.dnf(), &full, "{name}: worklist and full sweep disagree");
+        assert_eq!(delta.dnf(), &baseline, "{name}: worklist and baseline disagree");
         assert_eq!(
             delta_stats.interned_implicants, full_stats.interned_implicants,
             "{name}: implicant charges diverge between the disciplines"
@@ -210,9 +217,9 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
         ladder3.rounds_delta,
     );
 
-    // Timing: the §5.3 fixpoint only — the graph is pre-built and cloned in
-    // the untimed setup half of each iteration, so the rows compare the
-    // disciplines, not the allocator.
+    // Timing: the §5.3 fixpoint only — the graph is pre-built (and, for the
+    // engine, which consumes it, cloned in the untimed setup half of each
+    // iteration), so the rows compare the disciplines, not the allocator.
     let mut group = c.benchmark_group("condition");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(1200));
@@ -227,18 +234,10 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
             );
         });
         group.bench_function(format!("full_sweep/{name}"), |b| {
-            b.iter_batched(
-                || graph.clone(),
-                |g| condition_of_graph_full_sweep_stats(g, &unbounded, Parallelism::Off),
-                BatchSize::LargeInput,
-            );
+            b.iter(|| condition_full_sweep(&graph, &unbounded));
         });
         group.bench_function(format!("baseline/{name}"), |b| {
-            b.iter_batched(
-                || graph.clone(),
-                |g| condition_of_graph_baseline(g, &unbounded, Parallelism::Off),
-                BatchSize::LargeInput,
-            );
+            b.iter(|| condition_baseline(&graph, &unbounded));
         });
     }
     group.finish();
@@ -257,13 +256,13 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
             b.iter(|| evaluate_condition_at_budgeted_stats(&graph, &atoms_false, &unbounded));
         });
         group.bench_function(format!("full_sweep/{name}"), |b| {
-            b.iter(|| evaluate_condition_at_full_sweep_stats(&graph, &atoms_false, &unbounded));
+            b.iter(|| evaluate_full_sweep(&graph, &atoms_false, &unbounded));
         });
     }
     group.finish();
 
-    // The blowup family: budget trips (both interned disciplines) and the
-    // evaluated decision.
+    // The blowup family: budget trips (the engine and the full sweep) and
+    // the evaluated decision.
     let ltl = prefix_invariance_ltl();
     let theory = PropositionalTheory::new();
     let algorithm = AlgorithmB::new(&theory, VarSpec::all_state());
@@ -275,15 +274,15 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
     let blowup_graph = build_graph(&ltl);
     let (delta_trip, delta_trip_stats) =
         condition_of_graph_budgeted_stats(blowup_graph.clone(), &budget, Parallelism::Off);
-    let (full_trip, full_trip_stats) =
-        condition_of_graph_full_sweep_stats(blowup_graph.clone(), &budget, Parallelism::Off);
+    let full_trip = condition_full_sweep(&blowup_graph, &budget);
     assert_eq!(
         delta_trip.err(),
-        full_trip.err(),
+        full_trip.condition.err(),
         "both disciplines must trip the default distinct-implicant budget for the same reason"
     );
     assert_eq!(
-        delta_trip_stats.interned_implicants, full_trip_stats.interned_implicants,
+        delta_trip_stats.interned_implicants,
+        full_trip.store.stats().interned_implicants,
         "the trip charge must be identical across the disciplines"
     );
 
@@ -302,11 +301,7 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
         );
     });
     group.bench_function("condition_trip/full_sweep", |b| {
-        b.iter_batched(
-            || blowup_graph.clone(),
-            |g| condition_of_graph_full_sweep_stats(g, &budget, Parallelism::Off).0.is_err(),
-            BatchSize::LargeInput,
-        );
+        b.iter(|| condition_full_sweep(&blowup_graph, &budget).condition.is_err());
     });
     group.finish();
 
@@ -420,141 +415,6 @@ fn trip_formula_ltl() -> Ltl {
     to_ltl(&parse_formula(TRIP_FORMULA).expect("the trip formula parses")).unwrap()
 }
 
-/// One `∧` product the condition fixpoint had to compute (a memo miss).
-struct Product {
-    lhs: DnfId,
-    rhs: DnfId,
-    /// `|lhs| · |rhs|`, the nominal pair count.
-    pairs: usize,
-}
-
-/// Replays the Appendix B §5.3 condition fixpoint of `graph` through the
-/// public [`ConditionStore`] API, in the full-sweep (Jacobi) discipline of
-/// `condition_of_graph_full_sweep_stats` at one worker, and returns the
-/// store, every `∧` product it computed, and whether the budget tripped.
-///
-/// The replay performs the same store operations in the same order as the
-/// engine, which `main` checks by comparing the two runs' `StoreStats`, so
-/// the recorded products are exactly the engine's.
-fn replay_condition(
-    graph: &TableauGraph,
-    budget: &DnfBudget,
-) -> (ConditionStore, Vec<Product>, Option<Exhaustion>) {
-    let mut store = ConditionStore::new();
-    let mut products = Vec::new();
-    let n = graph.node_count();
-    let eventualities = graph.eventualities();
-    let ne = eventualities.len();
-    let mut atoms = Vec::with_capacity(graph.edge_count());
-    for eid in 0..graph.edge_count() {
-        match store.atom(eid, budget) {
-            Some(atom) => atoms.push(atom),
-            None => return (store, products, budget.exhaustion()),
-        }
-    }
-    let mut delete = vec![ConditionStore::BOTTOM; n];
-    let mut fail = vec![ConditionStore::TOP; n * ne];
-    // One equation: `ev == None` is delete(node), `Some(ei)` is fail(ei, node).
-    let equation = |store: &mut ConditionStore,
-                    products: &mut Vec<Product>,
-                    delete: &[DnfId],
-                    fail: &[DnfId],
-                    node: NodeId,
-                    ev: Option<usize>|
-     -> Option<DnfId> {
-        let mut terms = Vec::new();
-        for &eid in graph.outgoing(node) {
-            let edge = graph.edge(eid);
-            let or = |store: &mut ConditionStore, a, b| (!budget.tripped()).then(|| store.or(a, b));
-            let mut term = or(store, atoms[eid], delete[edge.to])?;
-            for (ei, eventuality) in eventualities.iter().enumerate() {
-                let read = match ev {
-                    None => edge.eventualities.contains(eventuality),
-                    Some(target) => ei == target && !edge.fulfilled.contains(eventuality),
-                };
-                if read {
-                    term = or(store, term, fail[ei * n + edge.to])?;
-                }
-            }
-            terms.push(term);
-        }
-        if terms.contains(&ConditionStore::BOTTOM) {
-            return Some(ConditionStore::BOTTOM);
-        }
-        let mut acc = ConditionStore::TOP;
-        for term in terms {
-            if budget.tripped() {
-                return None;
-            }
-            let misses = store.stats().memo_misses;
-            let (lhs, rhs) = (acc, term);
-            acc = store.and(lhs, rhs, budget)?;
-            if store.stats().memo_misses > misses {
-                let pairs = store.width(lhs) * store.width(rhs);
-                products.push(Product { lhs, rhs, pairs });
-            }
-        }
-        Some(acc)
-    };
-    for component in strongly_connected_components(graph) {
-        let fail_tasks: Vec<(NodeId, usize)> =
-            component.iter().flat_map(|&node| (0..ne).map(move |ei| (node, ei))).collect();
-        loop {
-            for &node in &component {
-                for ei in 0..ne {
-                    fail[ei * n + node] = ConditionStore::TOP;
-                }
-            }
-            loop {
-                if budget.tripped() {
-                    return (store, products, budget.exhaustion());
-                }
-                store.record_sweep(fail_tasks.len() as u64, 0);
-                let mut updates = Vec::with_capacity(fail_tasks.len());
-                for &(node, ei) in &fail_tasks {
-                    match equation(&mut store, &mut products, &delete, &fail, node, Some(ei)) {
-                        Some(value) => updates.push(value),
-                        None => return (store, products, budget.exhaustion()),
-                    }
-                }
-                let mut changed = false;
-                for (&(node, ei), value) in fail_tasks.iter().zip(updates) {
-                    changed |= std::mem::replace(&mut fail[ei * n + node], value) != value;
-                }
-                if !changed {
-                    break;
-                }
-            }
-            let mut delete_changed = false;
-            loop {
-                if budget.tripped() {
-                    return (store, products, budget.exhaustion());
-                }
-                store.record_sweep(component.len() as u64, 0);
-                let mut updates = Vec::with_capacity(component.len());
-                for &node in &component {
-                    match equation(&mut store, &mut products, &delete, &fail, node, None) {
-                        Some(value) => updates.push(value),
-                        None => return (store, products, budget.exhaustion()),
-                    }
-                }
-                let mut changed = false;
-                for (&node, value) in component.iter().zip(updates) {
-                    changed |= std::mem::replace(&mut delete[node], value) != value;
-                }
-                delete_changed |= changed;
-                if !changed {
-                    break;
-                }
-            }
-            if !delete_changed {
-                break;
-            }
-        }
-    }
-    (store, products, None)
-}
-
 /// One of the trip's heaviest products, timed through the store and through
 /// the bitset-antichain reference.
 struct AbsorbRow {
@@ -570,23 +430,32 @@ fn atom_lists(dnf: &Dnf) -> Vec<Vec<u32>> {
     dnf.implicants().map(|imp| imp.iter().map(|&atom| atom as u32).collect()).collect()
 }
 
-/// Replays the [`TRIP_FORMULA`] condition trip, checks the replay against
-/// the engine, and times the store's `∧` against the reference on the
+/// Runs the [`TRIP_FORMULA`] condition trip through the full-sweep
+/// reference, checks that it computes the engine's products, and times the
+/// store's `∧` against the bitset-antichain reference on the
 /// [`ABSORB_PRODUCTS`] heaviest products the trip completed — each from a
 /// fresh store holding just its operands, unbudgeted, after asserting both
-/// compute the same condition.  Returns the rows and the engine's stats.
+/// compute the same condition.  Returns the rows and the full sweep's stats.
 fn bench_absorption() -> (Vec<AbsorbRow>, StoreStats) {
     let budget = ResourceBudget::default();
     let graph = build_graph(&trip_formula_ltl());
     let (engine, engine_stats) =
-        condition_of_graph_full_sweep_stats(graph.clone(), &budget, Parallelism::Off);
-    let cell = DnfBudget::from_budget(&budget);
-    let (store, mut products, cut) = replay_condition(&graph, &cell);
-    assert_eq!(cut, engine.err(), "the replay must trip like the engine");
+        condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
+    let fixpoint_reference::FullSweep { condition, store, mut products, .. } =
+        condition_full_sweep(&graph, &budget);
+    let stats = store.stats();
+    assert_eq!(condition.err(), engine.err(), "the full sweep must trip like the engine");
+    // Skipping only avoids memo replays: both disciplines compute (miss) and
+    // intern exactly the same products.
     assert_eq!(
-        store.stats(),
-        engine_stats,
-        "the replay must perform the engine's store operations"
+        (stats.interned_implicants, stats.interned_dnfs, stats.memo_misses, stats.peak_dnf_width),
+        (
+            engine_stats.interned_implicants,
+            engine_stats.interned_dnfs,
+            engine_stats.memo_misses,
+            engine_stats.peak_dnf_width
+        ),
+        "the full sweep must compute the engine's products"
     );
     products.sort_by_key(|product| std::cmp::Reverse(product.pairs));
     let unbounded = DnfBudget::unbounded();
@@ -627,7 +496,7 @@ fn bench_absorption() -> (Vec<AbsorbRow>, StoreStats) {
             }
         })
         .collect();
-    (rows, engine_stats)
+    (rows, stats)
 }
 
 fn mean_of(results: &[BenchResult], name: &str) -> f64 {
@@ -734,15 +603,19 @@ fn record(
          \"hardware_threads\": {hw},\n  \"unit\": \"ns\",\n  \
          \"note\": \"conditions asserted identical across all three disciplines (and interned \
          charges identical across the two store disciplines) before timing. condition rows: \
-         the Appendix B \\u00a75.3 condition fixpoint only, graph pre-built and cloned in the \
-         untimed setup half of each iteration, unbudgeted, 1 worker — delta re-evaluates only \
+         the Appendix B \\u00a75.3 condition fixpoint only, graph pre-built (and cloned in the \
+         untimed setup half of each iteration for delta, which consumes it), unbudgeted, 1 \
+         worker; full_sweep and baseline_btreeset time the sequential references of \
+         tests/support/fixpoint_reference.rs (the full sweep has no frozen pre-pass) — delta \
+         re-evaluates only \
          equations whose inputs changed (skip_rate = fraction of a full sweep's evaluations \
          avoided); its gains are bounded by the bit-identity contract, which makes every \
          interning and charge identical across disciplines, leaving only replay lookups and \
          per-call derivations to skip. evaluated_fixpoint rows: the Boolean-projected fixpoint \
          at a fixed all-false edge assignment over a pre-built tableau — the per-call shape of \
          an evaluated decision; delta amortizes the per-tableau plan (SCCs, reverse-dependency \
-         CSR, fulfillment tables) the PR5 sweep re-derives on every call, which is where the \
+         CSR, fulfillment tables) the full-sweep reference re-derives on every call, which is \
+         where the \
          headline speedup lives. prefix_invariance rows: the measured [ => Q ] []P blowup — \
          decide_evaluated is the Boolean-projected worklist that refutes in milliseconds the \
          formula every budget 10^4..10^7 previously answered Unknown on; its explicit \
@@ -752,7 +625,8 @@ fn record(
          closure-interned builder and by the Ltl-tree reference builder it replaced, median of \
          15 builds each, default caps, 1 worker. condition_trip: the budget trip of the \
          ~[ => r ] <>q condition artifact at the default cap (the costliest artifact of \
-         perfbench decide_corpus), with its StoreStats. absorption rows: the heaviest \
+         perfbench decide_corpus), with the full sweep's StoreStats. absorption rows: the \
+         heaviest \
          products of that trip, replayed through a fresh store's and() (interning its \
          survivors) and through the bitset-antichain reference it replaced \
          (tests/support/bit_antichain.rs), median of 11 runs each, unbudgeted\",\n  \

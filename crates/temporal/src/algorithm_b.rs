@@ -58,12 +58,14 @@
 //!   to a full sweep.  Each round's ready set is first attempted against a
 //!   frozen store view batched across the [`crate::pool`] workers, then the
 //!   remainder is computed sequentially in task order — answers,
-//!   `Err`-under-budget included, are identical at every worker count.  The
-//!   PR 5 full-sweep discipline survives as
-//!   [`condition_of_graph_full_sweep_stats`] (the differential anchor for the
-//!   worklist engine), and the PR 3 `BTreeSet` fixpoint as
-//!   [`condition_of_graph_baseline`], the oracle for tests and the
-//!   `condition_fixpoint` bench.
+//!   `Err`-under-budget included, are identical at every worker count.
+//!
+//! Both are the one engine of this module.  The disciplines they replaced —
+//! the full (Jacobi) sweep over the store, its Boolean projection, and the
+//! `BTreeSet` fixpoint with its pre-absorption estimate cut — are not part of
+//! the library: they live in `tests/support/fixpoint_reference.rs`, where the
+//! differential tests and the `condition_fixpoint` bench compare the engine
+//! against them.
 //!
 //! Each engine has a plain call for tests and examples (unbounded,
 //! sequential) and a full call under a [`ResourceBudget`]; the `_stats`
@@ -73,13 +75,13 @@
 //! [`AlgorithmB::with_parallelism`] routes the whole procedure (tableau,
 //! fixpoint sweeps, end-of-run selection check) through the pool.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::dnf::store::{ConditionStore, DnfId, FrozenStore, StoreStats};
 use crate::dnf::{Dnf, DnfBudget};
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::syntax::{Ltl, VarSpec};
-use crate::tableau::{EdgeId, EventualityIndex, NodeId, SweepPlan, TableauGraph};
+use crate::tableau::{EdgeId, NodeId, TableauGraph};
 use crate::theory::Theory;
 
 /// The answer of the combined decision procedure.
@@ -121,9 +123,7 @@ impl Condition {
 
     /// Interning/memoization counters of the [`ConditionStore`] the fixpoint
     /// ran on, plus the worklist counters (`rounds`, `equations_evaluated`,
-    /// `equations_skipped`).  The [`condition_of_graph_baseline`] path
-    /// bypasses the store — its interning counters stay zero — but still
-    /// reports its rounds and evaluations.
+    /// `equations_skipped`).
     pub fn store_stats(&self) -> StoreStats {
         self.store_stats
     }
@@ -480,54 +480,19 @@ pub fn condition_of_graph(graph: TableauGraph) -> Condition {
 /// `Off` to any `Fixed(n)`.  Skipping is just as conservative: an equation
 /// whose inputs did not change would have replayed entirely from the memo
 /// tables without mutating the store or charging the budget, so the worklist
-/// run's ids, charges, and trip reasons are bit-identical to the full-sweep
-/// discipline too (only `memo_hits` counts the replays a full sweep would
-/// have performed).  At a single worker the frozen phase is elided — it is
-/// accounting-transparent (a settleable equation replays identically from
-/// memo; a deferred one records nothing), so the ready set is evaluated
-/// directly against the mutable store in task order, same ids and charges,
-/// minus the double memo walk.  [`condition_of_graph_full_sweep_stats`]
-/// keeps the full-sweep discipline callable as the differential anchor.
+/// run's ids, charges, and trip reasons are bit-identical to a full
+/// (Jacobi) sweep's too (only `memo_hits` counts the replays a full sweep
+/// would have performed) — the differential tests pin this against the
+/// full-sweep reference kept in `tests/support/fixpoint_reference.rs`.  At a
+/// single worker the frozen phase is elided — it is accounting-transparent
+/// (a settleable equation replays identically from memo; a deferred one
+/// records nothing), so the ready set is evaluated directly against the
+/// mutable store in task order, same ids and charges, minus the double memo
+/// walk.
 pub fn condition_of_graph_budgeted_stats(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
     parallelism: Parallelism,
-) -> (Result<Condition, Exhaustion>, StoreStats) {
-    condition_of_graph_engine(graph, resource_budget, parallelism, true)
-}
-
-/// The PR 5 full-sweep (Jacobi) discipline of the interned fixpoint, kept
-/// callable as the differential anchor for the worklist engine: every round
-/// re-evaluates *every* equation of the component until none changes.
-///
-/// Ids, budget charges, and trip reasons are bit-identical to
-/// [`condition_of_graph_budgeted_stats`] — the worklist engine only skips
-/// equations that would have replayed from the memo tables — so the
-/// differential tests compare conditions, implicant charges, and exhaustion
-/// reasons across the two, and the `condition_fixpoint` bench measures the
-/// speedup of skipping (recorded in `BENCH_PR7.json`).  Only the
-/// `memo_hits`/`rounds`/`equations_*` counters legitimately differ.
-pub fn condition_of_graph_full_sweep_stats(
-    graph: TableauGraph,
-    resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
-) -> (Result<Condition, Exhaustion>, StoreStats) {
-    condition_of_graph_engine(graph, resource_budget, parallelism, false)
-}
-
-/// The shared engine behind [`condition_of_graph_budgeted_stats`] (`delta ==
-/// true`, semi-naive worklist) and [`condition_of_graph_full_sweep_stats`]
-/// (`delta == false`, PR 5 Jacobi sweeps).  Both disciplines share the
-/// interned store, the atom leaves, and the §5.3 two-phase outer round; they
-/// differ in which equations a round evaluates — dependents of changed
-/// values vs. everything again — and in the constant-factor machinery that
-/// choice allows (fulfillment tables, hoisted worklist buffers, the
-/// single-worker direct-evaluation sweep).
-fn condition_of_graph_engine(
-    graph: TableauGraph,
-    resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
-    delta: bool,
 ) -> (Result<Condition, Exhaustion>, StoreStats) {
     let n = graph.node_count();
     let ne = graph.eventualities().len();
@@ -552,46 +517,9 @@ fn condition_of_graph_engine(
     let mut fail: Vec<DnfId> = vec![ConditionStore::TOP; n * ne];
     let mut outer_rounds = 0;
 
-    let run = {
-        // The worklist engine hoists the per-edge eventuality membership
-        // tests and edge targets out of the hot loop into tables computed
-        // once per tableau; the full-sweep anchor keeps PR 5's
-        // per-evaluation `BTreeSet<Ltl>` lookups so its measured cost stays
-        // that of the path it preserves.  The lookups return the same
-        // booleans either way, so the DNF op sequence — and with it every
-        // interned id and budget charge — is unaffected.
-        let tables = if delta { Some(FulfillTables::new(&graph)) } else { None };
-        let fixpoint = ConditionFixpoint {
-            graph: &graph,
-            eventualities: graph.eventualities(),
-            atoms,
-            tables,
-            pool: WorkerPool::new(parallelism),
-            n,
-        };
-        if delta {
-            fixpoint.run_worklist(
-                graph.sweep_plan(),
-                &mut store,
-                &budget,
-                &mut delete,
-                &mut fail,
-                &mut outer_rounds,
-            )
-        } else {
-            // The anchor re-derives the component structure per call, as
-            // PR 5 did — its measured cost is that of the preserved path.
-            let sccs = strongly_connected_components(&graph);
-            fixpoint.run_full_sweep(
-                &sccs,
-                &mut store,
-                &budget,
-                &mut delete,
-                &mut fail,
-                &mut outer_rounds,
-            )
-        }
-    };
+    let fixpoint =
+        ConditionFixpoint { graph: &graph, ne, atoms, pool: WorkerPool::new(parallelism), n };
+    let run = fixpoint.run_worklist(&mut store, &budget, &mut delete, &mut fail, &mut outer_rounds);
     if let Err(cut) = run {
         return (Err(cut), store.stats());
     }
@@ -643,7 +571,7 @@ pub fn evaluate_condition_at_budgeted_stats(
     let n = graph.node_count();
     let ne = graph.eventualities().len();
     let plan = graph.sweep_plan();
-    let tables = FulfillTables::new(graph);
+    let index = graph.eventuality_index();
     let mut stats = StoreStats::default();
     let mut delete = vec![false; n];
     let mut fail = vec![true; n * ne];
@@ -691,10 +619,10 @@ pub fn evaluate_condition_at_budgeted_stats(
                     let node = component[t / ne];
                     let ei = t % ne;
                     let new = graph.outgoing(node).iter().all(|&eid| {
-                        let to = tables.plan.targets[eid] as usize;
+                        let to = plan.targets[eid] as usize;
                         atom_true[eid]
                             || delete[to]
-                            || (tables.plan.unfulfilled[eid * ne + ei] && fail[ei * n + to])
+                            || (plan.unfulfilled[eid * ne + ei] && fail[ei * n + to])
                     });
                     if new != fail[ei * n + node] {
                         fail[ei * n + node] = new;
@@ -733,10 +661,10 @@ pub fn evaluate_condition_at_budgeted_stats(
                 for &t in &ready {
                     let node = component[t];
                     let new = graph.outgoing(node).iter().all(|&eid| {
-                        let to = tables.plan.targets[eid] as usize;
+                        let to = plan.targets[eid] as usize;
                         atom_true[eid]
                             || delete[to]
-                            || tables.mentions(eid).iter().any(|&ei| fail[ei as usize * n + to])
+                            || index.mentions(eid).iter().any(|&ei| fail[ei as usize * n + to])
                     });
                     if new != delete[node] {
                         delete[node] = new;
@@ -771,98 +699,6 @@ pub fn evaluate_condition_at_budgeted_stats(
     (Ok(delete[graph.initial()]), stats)
 }
 
-/// The PR 5 Boolean projection, preserved verbatim as the differential
-/// anchor for [`evaluate_condition_at_budgeted_stats`]: full Jacobi sweeps —
-/// every component equation re-evaluated every round until an unchanged
-/// round — with the per-edge `BTreeSet<Ltl>` fulfillment lookups of the
-/// original hot loop.  The worklist engine must compute the identical
-/// Boolean at every assignment (pinned by the differential tests); the
-/// `condition_fixpoint` bench measures the delta engine's speedup against
-/// this path.  Reports `rounds`/`equations_evaluated` like the engines
-/// (`equations_skipped` zero by construction; nothing is ever interned).
-pub fn evaluate_condition_at_full_sweep_stats(
-    graph: &TableauGraph,
-    atom_true: &[bool],
-    budget: &ResourceBudget,
-) -> (Result<bool, Exhaustion>, StoreStats) {
-    let n = graph.node_count();
-    let eventualities = graph.eventualities();
-    let ne = eventualities.len();
-    let sccs = strongly_connected_components(graph);
-    let mut stats = StoreStats::default();
-    let mut delete = vec![false; n];
-    let mut fail = vec![true; n * ne];
-    for component in &sccs {
-        loop {
-            for &node in component {
-                for ei in 0..ne {
-                    fail[ei * n + node] = true;
-                }
-            }
-            // fail to its greatest fixpoint within the component (in-place
-            // chaotic iteration reaches the same extreme fixpoint as the
-            // Jacobi sweeps of the DNF-valued run).
-            loop {
-                if let Some(cut) = budget.interrupted() {
-                    return (Err(cut), stats);
-                }
-                stats.rounds += 1;
-                stats.equations_evaluated += (component.len() * ne) as u64;
-                let mut changed = false;
-                for &node in component {
-                    for (ei, ev) in eventualities.iter().enumerate() {
-                        let new = graph.outgoing(node).iter().all(|&eid| {
-                            let edge = graph.edge(eid);
-                            atom_true[eid]
-                                || delete[edge.to]
-                                || (!edge.fulfilled.contains(ev) && fail[ei * n + edge.to])
-                        });
-                        if new != fail[ei * n + node] {
-                            fail[ei * n + node] = new;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            // delete to its least fixpoint within the component.
-            let mut delete_changed_any = false;
-            loop {
-                if let Some(cut) = budget.interrupted() {
-                    return (Err(cut), stats);
-                }
-                stats.rounds += 1;
-                stats.equations_evaluated += component.len() as u64;
-                let mut changed = false;
-                for &node in component {
-                    let new = graph.outgoing(node).iter().all(|&eid| {
-                        let edge = graph.edge(eid);
-                        atom_true[eid]
-                            || delete[edge.to]
-                            || eventualities.iter().enumerate().any(|(ei, ev)| {
-                                edge.eventualities.contains(ev) && fail[ei * n + edge.to]
-                            })
-                    });
-                    if new != delete[node] {
-                        delete[node] = new;
-                        changed = true;
-                        delete_changed_any = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            if !delete_changed_any {
-                break;
-            }
-        }
-    }
-    (Ok(delete[graph.initial()]), stats)
-}
-
 /// Which equation of the §5.3 system a sweep task evaluates.
 #[derive(Clone, Copy, Debug)]
 enum EqKind {
@@ -872,54 +708,26 @@ enum EqKind {
     Delete,
 }
 
-/// Per-tableau fulfillment tables: the `A ∈ ev(e)` / `A fulfilled by e`
-/// membership tests of the §5.3 equations as flat arrays — borrowed from the
-/// graph's cached [`EventualityIndex`] and [`SweepPlan`] — so the hot loop
-/// indexes integers instead of running `BTreeSet<Ltl>` lookups (deep
-/// structural comparisons) on every edge of every evaluation.  The booleans
-/// are definitionally those of the set lookups, so using the tables cannot
-/// change an evaluation's DNF op sequence — only its constant factor.
-struct FulfillTables<'g> {
-    /// The graph's eventuality index (per-edge mention lists).
-    index: &'g EventualityIndex,
-    /// The graph's fixpoint plan (`targets`, dense `unfulfilled`).
-    plan: &'g SweepPlan,
-}
-
-impl<'g> FulfillTables<'g> {
-    fn new(graph: &'g TableauGraph) -> FulfillTables<'g> {
-        FulfillTables { index: graph.eventuality_index(), plan: graph.sweep_plan() }
-    }
-
-    /// Eventuality indices mentioned by edge `eid`, ascending.
-    fn mentions(&self, eid: usize) -> &[u32] {
-        self.index.mentions(eid)
-    }
-}
-
 /// The per-graph context of the interned condition fixpoint: everything the
 /// sweep equations read besides the evolving `delete`/`fail` vectors.
 struct ConditionFixpoint<'g> {
     graph: &'g TableauGraph,
-    eventualities: &'g [Ltl],
+    /// Number of eventualities of the graph.
+    ne: usize,
     /// Interned `□¬prop(e)` atom conditions, indexed by edge id.
     atoms: Vec<DnfId>,
-    /// `Some` in the worklist engine; `None` in the full-sweep anchor, which
-    /// keeps PR 5's per-evaluation set lookups (see
-    /// [`condition_of_graph_full_sweep_stats`]).
-    tables: Option<FulfillTables<'g>>,
     pool: WorkerPool,
     n: usize,
 }
 
 impl ConditionFixpoint<'_> {
-    /// The semi-naive worklist discipline driving
+    /// The semi-naive worklist discipline of
     /// [`condition_of_graph_budgeted_stats`]: every phase seeds its full
     /// equation set (a phase boundary touches every equation's inputs), and
     /// afterwards only the dependents of values that actually changed —
     /// looked up in the reverse-dependency CSR — re-enter the ready set,
     /// which each round evaluates in ascending task order so the interning
-    /// sequence matches the Jacobi path's.  The outer §5.3 round repeats
+    /// sequence matches a full (Jacobi) sweep's.  The outer §5.3 round repeats
     /// only while some `delete` change is read *inside* the component;
     /// a change every reader of which lies in a later component of the
     /// reverse-topological order cannot move this component's fixpoint, so
@@ -929,16 +737,15 @@ impl ConditionFixpoint<'_> {
     /// trivial SCCs.
     fn run_worklist(
         &self,
-        plan: &SweepPlan,
         store: &mut ConditionStore,
         budget: &DnfBudget,
         delete: &mut [DnfId],
         fail: &mut [DnfId],
         outer_rounds: &mut usize,
     ) -> Result<(), Exhaustion> {
+        let plan = self.graph.sweep_plan();
         let sccs = &plan.sccs;
-        let n = self.n;
-        let ne = self.eventualities.len();
+        let (n, ne) = (self.n, self.ne);
         // Dense position of each node within the component being processed;
         // `usize::MAX` marks nodes outside it (their values are already
         // final, so changes never propagate to them).
@@ -1061,76 +868,6 @@ impl ConditionFixpoint<'_> {
         Ok(())
     }
 
-    /// The PR 5 discipline driving [`condition_of_graph_full_sweep_stats`]:
-    /// Jacobi rounds that re-evaluate every component equation until an
-    /// unchanged round, with no worklist bookkeeping — the preserved path
-    /// the worklist engine is differentially pinned against and benchmarked
-    /// over.
-    fn run_full_sweep(
-        &self,
-        sccs: &[Vec<NodeId>],
-        store: &mut ConditionStore,
-        budget: &DnfBudget,
-        delete: &mut [DnfId],
-        fail: &mut [DnfId],
-        outer_rounds: &mut usize,
-    ) -> Result<(), Exhaustion> {
-        let n = self.n;
-        let ne = self.eventualities.len();
-        for component in sccs {
-            let fail_tasks: Vec<(NodeId, EqKind)> = component
-                .iter()
-                .flat_map(|&node| (0..ne).map(move |ei| (node, EqKind::Fail(ei))))
-                .collect();
-            let delete_tasks: Vec<(NodeId, EqKind)> =
-                component.iter().map(|&node| (node, EqKind::Delete)).collect();
-            loop {
-                *outer_rounds += 1;
-                // Reset fail to the top element within the component.
-                for &node in component {
-                    for ei in 0..ne {
-                        fail[ei * n + node] = ConditionStore::TOP;
-                    }
-                }
-                // Iterate fail to its greatest fixpoint within the component.
-                loop {
-                    let updates = self.sweep_all(store, budget, delete, fail, &fail_tasks)?;
-                    let mut changed = false;
-                    for (&(node, kind), new) in fail_tasks.iter().zip(updates) {
-                        let EqKind::Fail(ei) = kind else { unreachable!("fail task") };
-                        if new != fail[ei * n + node] {
-                            fail[ei * n + node] = new;
-                            changed = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                // Iterate delete to its least fixpoint within the component.
-                let mut delete_changed_any = false;
-                loop {
-                    let updates = self.sweep_all(store, budget, delete, fail, &delete_tasks)?;
-                    let mut changed = false;
-                    for (&(node, _), new) in delete_tasks.iter().zip(updates) {
-                        if new != delete[node] {
-                            delete[node] = new;
-                            changed = true;
-                            delete_changed_any = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                if !delete_changed_any {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// One two-phase round over the `ready` subset of `tasks` (see
     /// [`condition_of_graph_budgeted_stats`]): frozen phase batched across the
     /// pool via the sparse [`WorkerPool::map_indexed`], deferred equations
@@ -1160,8 +897,8 @@ impl ConditionFixpoint<'_> {
         // deferred equation's frozen attempt records nothing and is re-done
         // mutably anyway.  Evaluating the ready set directly in task order
         // therefore produces bit-identical ids, charges, trips, and counters
-        // — pinned across worker counts by the differential tests — while
-        // skipping the double memo walk the anchor always pays.
+        // — pinned across worker counts by the differential tests — minus
+        // the double memo walk.
         if self.pool.workers() == 1 {
             let mut results = Vec::with_capacity(ready.len());
             for &t in ready {
@@ -1205,47 +942,6 @@ impl ConditionFixpoint<'_> {
         Ok(results)
     }
 
-    /// [`ConditionFixpoint::sweep`] over *every* task — the PR 5 Jacobi
-    /// round, kept verbatim for the full-sweep anchor: frozen phase batched
-    /// across the pool at any worker count (including one, as PR 5 always
-    /// did), deferred equations sequential in task order.
-    fn sweep_all(
-        &self,
-        store: &mut ConditionStore,
-        budget: &DnfBudget,
-        delete: &[DnfId],
-        fail: &[DnfId],
-        tasks: &[(NodeId, EqKind)],
-    ) -> Result<Vec<DnfId>, Exhaustion> {
-        if budget.poll_interrupts() {
-            return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
-        }
-        store.record_sweep(tasks.len() as u64, 0);
-        let frozen = store.frozen();
-        let settled: Vec<(Option<DnfId>, u64)> = self.pool.map(tasks.len(), |t| {
-            let mut ops = Frozen { view: frozen, hits: 0 };
-            let result = self.eval(&mut ops, delete, fail, tasks[t]);
-            (result, ops.hits)
-        });
-        let frozen_hits: u64 =
-            settled.iter().filter(|(slot, _)| slot.is_some()).map(|&(_, hits)| hits).sum();
-        store.record_frozen_hits(frozen_hits);
-        let mut results = Vec::with_capacity(tasks.len());
-        for (i, (slot, _)) in settled.into_iter().enumerate() {
-            match slot {
-                Some(id) => results.push(id),
-                None => {
-                    let mut ops = Mutable { store, budget };
-                    match self.eval(&mut ops, delete, fail, tasks[i]) {
-                        Some(id) => results.push(id),
-                        None => return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants)),
-                    }
-                }
-            }
-        }
-        Ok(results)
-    }
-
     /// One equation of the §5.3 system, evaluated through `ops`:
     ///
     /// * delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
@@ -1276,52 +972,25 @@ impl ConditionFixpoint<'_> {
         (node, kind): (NodeId, EqKind),
         terms: &mut Vec<DnfId>,
     ) -> Option<DnfId> {
-        let outgoing = self.graph.outgoing(node);
+        let plan = self.graph.sweep_plan();
+        let index = self.graph.eventuality_index();
         terms.clear();
-        match &self.tables {
-            // Worklist engine: flat-table lookups, no `Edge` struct access.
-            Some(tables) => {
-                let ne = self.eventualities.len();
-                for &eid in outgoing {
-                    let to = tables.plan.targets[eid] as usize;
-                    let mut term = ops.or(self.atoms[eid], delete[to])?;
-                    match kind {
-                        EqKind::Delete => {
-                            for &ei in tables.mentions(eid) {
-                                term = ops.or(term, fail[ei as usize * self.n + to])?;
-                            }
-                        }
-                        EqKind::Fail(ei) => {
-                            if tables.plan.unfulfilled[eid * ne + ei] {
-                                term = ops.or(term, fail[ei * self.n + to])?;
-                            }
-                        }
+        for &eid in self.graph.outgoing(node) {
+            let to = plan.targets[eid] as usize;
+            let mut term = ops.or(self.atoms[eid], delete[to])?;
+            match kind {
+                EqKind::Delete => {
+                    for &ei in index.mentions(eid) {
+                        term = ops.or(term, fail[ei as usize * self.n + to])?;
                     }
-                    terms.push(term);
+                }
+                EqKind::Fail(ei) => {
+                    if plan.unfulfilled[eid * self.ne + ei] {
+                        term = ops.or(term, fail[ei * self.n + to])?;
+                    }
                 }
             }
-            // Full-sweep anchor: PR 5's per-evaluation set lookups.
-            None => {
-                for &eid in outgoing {
-                    let edge = self.graph.edge(eid);
-                    let mut term = ops.or(self.atoms[eid], delete[edge.to])?;
-                    match kind {
-                        EqKind::Delete => {
-                            for (ei, ev) in self.eventualities.iter().enumerate() {
-                                if edge.eventualities.contains(ev) {
-                                    term = ops.or(term, fail[ei * self.n + edge.to])?;
-                                }
-                            }
-                        }
-                        EqKind::Fail(ei) => {
-                            if !edge.fulfilled.contains(&self.eventualities[ei]) {
-                                term = ops.or(term, fail[ei * self.n + edge.to])?;
-                            }
-                        }
-                    }
-                    terms.push(term);
-                }
-            }
+            terms.push(term);
         }
         ops.all(terms)
     }
@@ -1375,172 +1044,13 @@ impl DnfOps for Mutable<'_, '_> {
     }
 }
 
-/// The PR 3 `BTreeSet` condition fixpoint, kept as the differential
-/// baseline: same Jacobi sweeps and SCC acceleration, but explicit [`Dnf`]
-/// values (re-cloned and re-absorbed at every product) and the
-/// pre-absorption estimate cut of [`Dnf::all_bounded_estimated`] instead of
-/// the interned store's distinct-implicant accounting.  It stays naive —
-/// every sweep re-evaluates every equation — but reports its `rounds` and
-/// `equations_evaluated` through [`Condition::store_stats`] (interning
-/// counters zero, `equations_skipped` zero by construction) so the
-/// differential tests can compare convergence against the worklist engine.
-///
-/// Tests pin that it computes the same condition as
-/// [`condition_of_graph_budgeted_stats`] wherever neither path trips its budget,
-/// and the `condition_fixpoint` bench measures the speedup of the interned
-/// paths against it.
-pub fn condition_of_graph_baseline(
-    graph: TableauGraph,
-    resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
-) -> Result<Condition, Exhaustion> {
-    let pool = WorkerPool::new(parallelism);
-    let budget = DnfBudget::from_budget(resource_budget);
-    let n = graph.node_count();
-    let eventualities = graph.eventualities();
-    let sccs = strongly_connected_components(&graph);
-
-    let mut delete: Vec<Dnf> = vec![Dnf::bottom(); n];
-    let mut fail: BTreeMap<(usize, NodeId), Dnf> = BTreeMap::new();
-    for (ei, _) in eventualities.iter().enumerate() {
-        for node in 0..n {
-            fail.insert((ei, node), Dnf::top());
-        }
-    }
-    let mut outer_rounds = 0;
-    let mut stats = StoreStats::default();
-
-    for component in &sccs {
-        let fail_tasks: Vec<(NodeId, usize)> = component
-            .iter()
-            .flat_map(|&node| (0..eventualities.len()).map(move |ei| (node, ei)))
-            .collect();
-        loop {
-            outer_rounds += 1;
-            for &node in component {
-                for (ei, _) in eventualities.iter().enumerate() {
-                    fail.insert((ei, node), Dnf::top());
-                }
-            }
-            loop {
-                stats.rounds += 1;
-                stats.equations_evaluated += fail_tasks.len() as u64;
-                let Some(updates) = sweep_equations(fail_tasks.len(), &pool, |i| {
-                    let (node, ei) = fail_tasks[i];
-                    fail_equation(&graph, node, ei, &eventualities[ei], &delete, &fail, &budget)
-                }) else {
-                    return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
-                };
-                let mut changed = false;
-                for (&(node, ei), new) in fail_tasks.iter().zip(updates) {
-                    if new != fail[&(ei, node)] {
-                        fail.insert((ei, node), new);
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            let mut delete_changed_any = false;
-            loop {
-                stats.rounds += 1;
-                stats.equations_evaluated += component.len() as u64;
-                let Some(updates) = sweep_equations(component.len(), &pool, |i| {
-                    delete_equation(&graph, component[i], eventualities, &delete, &fail, &budget)
-                }) else {
-                    return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
-                };
-                let mut changed = false;
-                for (&node, new) in component.iter().zip(updates) {
-                    if new != delete[node] {
-                        delete[node] = new;
-                        changed = true;
-                        delete_changed_any = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            if !delete_changed_any {
-                break;
-            }
-        }
-    }
-
-    let delete_init = delete[graph.initial()].clone();
-    Ok(Condition { graph, delete_init, outer_rounds, store_stats: stats })
-}
-
-/// One baseline Jacobi sweep: evaluates `eval(0..count)` — each equation
-/// reading only the caller's frozen snapshot — batched across the pool via
-/// [`WorkerPool::map`], and returns the results in task order, or `None`
-/// when any equation blew the budget.
-fn sweep_equations<T, F>(count: usize, pool: &WorkerPool, eval: F) -> Option<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
-{
-    pool.map(count, eval).into_iter().collect()
-}
-
-/// delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
-fn delete_equation(
-    graph: &TableauGraph,
-    node: NodeId,
-    eventualities: &[Ltl],
-    delete: &[Dnf],
-    fail: &BTreeMap<(usize, NodeId), Dnf>,
-    budget: &DnfBudget,
-) -> Option<Dnf> {
-    let terms = graph
-        .outgoing(node)
-        .iter()
-        .map(|&eid| {
-            let edge = graph.edge(eid);
-            let mut term = Dnf::atom(eid).or(&delete[edge.to]);
-            for (ei, ev) in eventualities.iter().enumerate() {
-                if edge.eventualities.contains(ev) {
-                    term = term.or(&fail[&(ei, edge.to)]);
-                }
-            }
-            term
-        })
-        .collect();
-    Dnf::all_bounded_estimated(terms, budget)
-}
-
-/// fail(A, N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ [A not satisfied by e ∧ fail(A, fin(e))] )
-fn fail_equation(
-    graph: &TableauGraph,
-    node: NodeId,
-    ev_index: usize,
-    ev: &Ltl,
-    delete: &[Dnf],
-    fail: &BTreeMap<(usize, NodeId), Dnf>,
-    budget: &DnfBudget,
-) -> Option<Dnf> {
-    let terms = graph
-        .outgoing(node)
-        .iter()
-        .map(|&eid| {
-            let edge = graph.edge(eid);
-            let mut term = Dnf::atom(eid).or(&delete[edge.to]);
-            if !edge.fulfilled.contains(ev) {
-                term = term.or(&fail[&(ev_index, edge.to)]);
-            }
-            term
-        })
-        .collect();
-    Dnf::all_bounded_estimated(terms, budget)
-}
-
 /// Tarjan's strongly connected components, returned in reverse topological
 /// order of the condensation (components with no edges into later components
-/// come first), which is the order the fixpoint iteration wants.  Public so
-/// that replays of the fixpoint (the `condition_fixpoint` bench) visit the
-/// components in the engine's order.
+/// come first), which is the order the fixpoint iteration wants.  The
+/// tableau computes them once into its sweep plan; public so that the
+/// reference fixpoints of the differential tests
+/// (`tests/support/fixpoint_reference.rs`) visit the components in the
+/// engine's order.
 pub fn strongly_connected_components(graph: &TableauGraph) -> Vec<Vec<NodeId>> {
     struct Tarjan<'g> {
         graph: &'g TableauGraph,

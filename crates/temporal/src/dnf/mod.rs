@@ -10,9 +10,8 @@
 //!
 //! * [`Dnf`] — the explicit `BTreeSet<BTreeSet<usize>>` value type.  Simple,
 //!   self-contained, and the *differential baseline*: every interned
-//!   operation is property-tested against it, and
-//!   [`Dnf::all_bounded_estimated`] preserves the PR 3 estimate-cut product
-//!   for benchmark comparison.
+//!   operation is property-tested against it.  It is also the shape of the
+//!   condition an engine hands back ([`crate::algorithm_b::Condition::dnf`]).
 //! * [`store::ConditionStore`] — the interned arena the engines actually run
 //!   on.  Implicants are hash-consed to `Copy` [`store::ImplicantId`]s
 //!   (each distinct atom set stored once), whole antichains to
@@ -336,10 +335,10 @@ impl Dnf {
     /// [`DnfBudget::limit`], or when another sharer of `budget` has already
     /// tripped it.
     ///
-    /// This replaces the PR 3 pre-absorption estimate cut (kept as
-    /// [`Dnf::all_bounded_estimated`] for differential benchmarks), which
-    /// tripped on `Π |termᵢ|` even when absorption would have collapsed the
-    /// product to a handful of implicants — the measured failure mode of the
+    /// This replaces a pre-absorption estimate cut (kept as a test-only
+    /// reference in `tests/support/fixpoint_reference.rs`), which tripped on
+    /// `Π |termᵢ|` even when absorption would have collapsed the product to
+    /// a handful of implicants — the measured failure mode of the
     /// `[ => Q ] []P` condition fixpoint.  Charging distinct implicants lets
     /// heavily-absorbing products complete under modest budgets while still
     /// cutting a genuinely exploding computation off deterministically.
@@ -367,44 +366,6 @@ impl Dnf {
         }
         let result = store.all(&ids, budget)?;
         Some(store.extract(result))
-    }
-
-    /// The PR 3 implementation of [`Dnf::all_bounded`]: `None` when the
-    /// pre-absorption product estimate `Π max(1, |termᵢ|)` exceeds
-    /// [`DnfBudget::limit`].
-    ///
-    /// Kept as the *baseline* the interned path is benchmarked and
-    /// property-tested against.  The estimate is a sound but badly
-    /// conservative cut: it bounds every intermediate and final implicant
-    /// count, so an accepted estimate caps the computation's cost — but it
-    /// also trips on products absorption would have collapsed, which is what
-    /// made the nested weak-until condition fixpoints answer `Unknown` at
-    /// every budget from 10⁴ to 10⁷ implicants.
-    pub fn all_bounded_estimated(terms: Vec<Dnf>, budget: &DnfBudget) -> Option<Dnf> {
-        if budget.poll_interrupts() {
-            return None;
-        }
-        if !budget.is_unbounded() {
-            let estimate = terms.iter().try_fold(1usize, |acc, term| {
-                acc.checked_mul(term.implicant_count().max(1)).filter(|&est| est <= budget.limit())
-            });
-            if estimate.is_none() {
-                budget.trip();
-                return None;
-            }
-        }
-        let mut acc = Dnf::top();
-        for term in &terms {
-            if budget.tripped() {
-                return None;
-            }
-            acc = acc.and(term);
-        }
-        debug_assert!(
-            budget.is_unbounded() || acc.implicant_count() <= budget.limit(),
-            "a canonical product can never exceed its accepted pre-absorption estimate"
-        );
-        Some(acc)
     }
 
     /// Evaluates the condition under an assignment of atoms to Booleans.
@@ -529,19 +490,8 @@ mod tests {
         // The unbounded budget never trips (and never counts).
         let unbounded = DnfBudget::unbounded();
         assert!(unbounded.is_unbounded());
-        assert_eq!(Dnf::all_bounded(terms(), &unbounded), Some(result.clone()));
+        assert_eq!(Dnf::all_bounded(terms(), &unbounded), Some(result));
         assert!(!unbounded.tripped());
-        // The estimate-cut baseline still trips on its pre-absorption
-        // estimate: 2 × 2 = 4 > 3.
-        let baseline = DnfBudget::new(3);
-        assert_eq!(Dnf::all_bounded_estimated(terms(), &baseline), None);
-        assert!(baseline.tripped());
-        let baseline_fit = DnfBudget::new(4);
-        assert_eq!(
-            Dnf::all_bounded_estimated(terms(), &baseline_fit).as_ref(),
-            Some(&result),
-            "baseline and interned paths agree whenever neither trips"
-        );
     }
 
     #[test]

@@ -109,11 +109,9 @@ pub struct StoreStats {
     /// Widest antichain interned: the largest implicant count of any single
     /// condition DNF the computation produced.
     pub peak_dnf_width: usize,
-    /// Fixpoint rounds run: every worklist (or full-sweep) round of the §5.3
-    /// iteration, `fail` and `delete` phases both counted.  The evaluated
-    /// Boolean fixpoint reports its rounds here too (with zero interning
-    /// counters), and the naive baseline reports rounds so differential tests
-    /// can compare convergence.
+    /// Fixpoint rounds run: every worklist round of the §5.3 iteration,
+    /// `fail` and `delete` phases both counted.  The evaluated Boolean
+    /// fixpoint reports its rounds here too (with zero interning counters).
     pub rounds: u64,
     /// Equations actually evaluated across all rounds.  Under the semi-naive
     /// worklist engine only equations whose inputs changed since their last
@@ -121,10 +119,10 @@ pub struct StoreStats {
     /// `rounds × equations`.
     pub equations_evaluated: u64,
     /// Equations *skipped* by the worklist engine: per round, the equations
-    /// of the active phase whose inputs did not change and which a Jacobi
-    /// sweep would have re-evaluated (from memo) anyway.  Zero for full-sweep
-    /// and baseline runs — the bench-smoke regression guard asserts it is
-    /// strictly positive on the wide tableaux.
+    /// of the active phase whose inputs did not change and which a full
+    /// (Jacobi) sweep would have re-evaluated (from memo) anyway — the
+    /// bench-smoke regression guard asserts it is strictly positive on the
+    /// wide tableaux.
     pub equations_skipped: u64,
 }
 

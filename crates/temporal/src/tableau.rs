@@ -219,9 +219,7 @@ impl CsrRows {
 /// Every entry is a pure function of the finished graph, so computing it
 /// here amortizes it across every fixpoint run — most visibly across the
 /// thousands of Boolean-projected evaluations one evaluated decision makes
-/// over the same tableau.  The full-sweep and baseline disciplines
-/// deliberately do *not* read it: they preserve their original per-call
-/// derivations as the comparison anchors.
+/// over the same tableau.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SweepPlan {
     /// Strongly connected components, reverse-topological (every edge leaves

@@ -6,7 +6,8 @@
 //! budgeted entry points must trip for the same reason at the same
 //! distinct-implicant charge however the work is phrased, and the
 //! store-backed condition fixpoint must compute the same condition as the
-//! PR 3 baseline wherever neither trips.
+//! `BTreeSet` baseline (kept in `tests/support/fixpoint_reference.rs`, with
+//! its pre-absorption estimate cut) wherever neither trips.
 //!
 //! The store's size-ordered, indexed absorption kernel is also checked
 //! against the bitset-antichain product it replaced (kept in
@@ -17,9 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use ilogic_temporal::algorithm_b::{
-    condition_of_graph_baseline, condition_of_graph_budgeted_stats,
-};
+use ilogic_temporal::algorithm_b::condition_of_graph_budgeted_stats;
 use ilogic_temporal::dnf::store::{ConditionStore, DnfId, StoreStats};
 use ilogic_temporal::dnf::{Dnf, DnfBudget};
 use ilogic_temporal::patterns;
@@ -31,6 +30,11 @@ use proptest::prelude::*;
 
 #[path = "../../../tests/support/bit_antichain.rs"]
 mod bit_antichain;
+
+#[path = "../../../tests/support/fixpoint_reference.rs"]
+mod fixpoint_reference;
+
+use fixpoint_reference::{all_bounded_estimated, condition_baseline};
 
 /// A random (automatically canonical: absorption happens in `or`/`and`)
 /// monotone DNF over a small atom universe — small enough that products
@@ -108,7 +112,7 @@ proptest! {
         );
         let baseline_budget = DnfBudget::unbounded();
         prop_assert_eq!(
-            Dnf::all_bounded_estimated(terms.clone(), &baseline_budget),
+            all_bounded_estimated(terms.clone(), &baseline_budget),
             Some(expected)
         );
     }
@@ -156,7 +160,25 @@ proptest! {
     }
 }
 
-/// The store-backed condition fixpoint and the PR 3 `BTreeSet` baseline
+/// The estimate-cut baseline trips on its pre-absorption estimate where the
+/// interned product charges distinct implicants: `(a ∨ b) ∧ (c ∨ d)`
+/// explores 8 distinct implicants, but its estimate is 2 × 2 = 4.
+#[test]
+fn estimate_cut_trips_on_the_pre_absorption_product() {
+    let terms = || vec![Dnf::atom(1).or(&Dnf::atom(2)), Dnf::atom(3).or(&Dnf::atom(4))];
+    let result = Dnf::all_bounded(terms(), &DnfBudget::new(8)).expect("8 distinct implicants fit");
+    let baseline = DnfBudget::new(3);
+    assert_eq!(all_bounded_estimated(terms(), &baseline), None);
+    assert!(baseline.tripped());
+    let baseline_fit = DnfBudget::new(4);
+    assert_eq!(
+        all_bounded_estimated(terms(), &baseline_fit).as_ref(),
+        Some(&result),
+        "baseline and interned paths agree whenever neither trips"
+    );
+}
+
+/// The store-backed condition fixpoint and the `BTreeSet` baseline
 /// compute the same condition (same implicants, same top/bottom answers) on
 /// the tractable pattern formulas, at every worker count.
 #[test]
@@ -168,31 +190,25 @@ fn store_fixpoint_matches_baseline_on_pattern_formulas() {
     }
     formulas.push(("ladder2".to_string(), patterns::response_ladder(2)));
     for (label, formula) in formulas {
-        let graph = |label: &str| {
-            TableauGraph::try_build_budgeted(
-                &formula.clone().not(),
-                &ResourceBudget::default(),
-                Parallelism::Off,
-            )
-            .unwrap_or_else(|cut| panic!("{label}: tableau build tripped {cut}"))
-        };
-        let baseline = condition_of_graph_baseline(
-            graph(&label),
+        let graph = TableauGraph::try_build_budgeted(
+            &formula.clone().not(),
             &ResourceBudget::default(),
             Parallelism::Off,
-        );
+        )
+        .unwrap_or_else(|cut| panic!("{label}: tableau build tripped {cut}"));
+        let (baseline, _) = condition_baseline(&graph, &ResourceBudget::default());
         for workers in [0usize, 2, 4] {
             let parallelism =
                 if workers == 0 { Parallelism::Off } else { Parallelism::Fixed(workers) };
             let (store, _) = condition_of_graph_budgeted_stats(
-                graph(&label),
+                graph.clone(),
                 &ResourceBudget::default(),
                 parallelism,
             );
             match (&baseline, &store) {
                 (Ok(base), Ok(interned)) => {
                     assert_eq!(
-                        base.dnf(),
+                        base,
                         interned.dnf(),
                         "{label}: conditions diverge at {workers} workers"
                     );

@@ -5,24 +5,32 @@
 //! equation would have replayed entirely from the memo tables, mutating
 //! nothing and charging nothing — is pinned here three ways:
 //!
-//! * against the PR 5 full-sweep (Jacobi) discipline
-//!   ([`condition_of_graph_full_sweep_stats`]): bit-identical conditions,
+//! * against the full-sweep (Jacobi) discipline
+//!   ([`condition_full_sweep`]): bit-identical conditions,
 //!   interned-implicant charges, and budget trip reasons, on random
 //!   tableaux and on the pattern catalogue, at every worker count;
-//! * against the PR 3 `BTreeSet` oracle ([`condition_of_graph_baseline`]):
-//!   same conditions wherever neither path trips;
+//! * against the `BTreeSet` oracle ([`condition_baseline`]): same
+//!   conditions wherever neither path trips;
 //! * within the worklist engine itself: identical `StoreStats` (memo
 //!   counters included) from `Off` to `Fixed(4)`, and strictly positive
 //!   skip counters on ladder3 — the regression guard that the engine is not
 //!   silently falling back to full sweeps.
+//!
+//! The reference disciplines live in `tests/support/fixpoint_reference.rs`;
+//! [`references_keep_their_measured_outputs`] pins them to the exact
+//! outputs they produced when they were still part of the library.
 
+#[path = "../../../tests/support/fixpoint_reference.rs"]
+mod fixpoint_reference;
+
+use fixpoint_reference::{condition_baseline, condition_full_sweep, evaluate_full_sweep};
 use ilogic_temporal::algorithm_b::{
-    condition_of_graph_baseline, condition_of_graph_budgeted_stats,
-    condition_of_graph_full_sweep_stats, evaluate_condition_at_budgeted_stats,
-    evaluate_condition_at_full_sweep_stats, Condition,
+    condition_of_graph_budgeted_stats, evaluate_condition_at_budgeted_stats, Condition,
 };
+use ilogic_temporal::dnf::store::StoreStats;
+use ilogic_temporal::dnf::Dnf;
 use ilogic_temporal::patterns;
-use ilogic_temporal::pool::{Parallelism, ResourceBudget};
+use ilogic_temporal::pool::{Exhaustion, Parallelism, ResourceBudget};
 use ilogic_temporal::syntax::Ltl;
 use ilogic_temporal::tableau::TableauGraph;
 use proptest::prelude::*;
@@ -74,8 +82,8 @@ fn dnf_at(condition: &Condition, atom_true: &[bool]) -> bool {
 /// full-sweep at every worker count (conditions, charges, trip reasons,
 /// stats worker-count-invariance), plus the skip-accounting invariants.
 fn check_worklist_against_full_sweep(label: &str, graph: &TableauGraph, budget: &ResourceBudget) {
-    let (full, full_stats) =
-        condition_of_graph_full_sweep_stats(graph.clone(), budget, Parallelism::Off);
+    let reference = condition_full_sweep(graph, budget);
+    let (full, full_stats) = (&reference.condition, reference.store.stats());
     let mut first_stats = None;
     for workers in WORKER_COUNTS {
         let (delta, delta_stats) =
@@ -103,10 +111,10 @@ fn check_worklist_against_full_sweep(label: &str, graph: &TableauGraph, budget: 
             full_stats.peak_dnf_width, delta_stats.peak_dnf_width,
             "{label}: peak widths diverge at {workers} workers"
         );
-        match (&full, &delta) {
-            (Ok(full_cond), Ok(delta_cond)) => {
+        match (full, &delta) {
+            (Ok(full_dnf), Ok(delta_cond)) => {
                 assert_eq!(
-                    full_cond.dnf(),
+                    full_dnf,
                     delta_cond.dnf(),
                     "{label}: conditions diverge at {workers} workers"
                 );
@@ -142,14 +150,14 @@ proptest! {
         let budget = ResourceBudget::default();
         let Some(graph) = graph_of(&formula, &budget) else { return Ok(()) };
         check_worklist_against_full_sweep("random", &graph, &budget);
-        let baseline = condition_of_graph_baseline(graph.clone(), &budget, Parallelism::Off);
+        let (baseline, base_stats) = condition_baseline(&graph, &budget);
         let (delta, _) = condition_of_graph_budgeted_stats(graph, &budget, Parallelism::Off);
         match (&baseline, &delta) {
             (Ok(base), Ok(worklist)) => {
-                prop_assert_eq!(base.dnf(), worklist.dnf(), "baseline and worklist diverge");
-                // The baseline now reports its convergence too.
-                prop_assert!(base.store_stats().rounds > 0);
-                prop_assert_eq!(base.store_stats().equations_skipped, 0);
+                prop_assert_eq!(base, worklist.dnf(), "baseline and worklist diverge");
+                // The baseline reports its convergence too.
+                prop_assert!(base_stats.rounds > 0);
+                prop_assert_eq!(base_stats.equations_skipped, 0);
             }
             (Err(base_cut), Err(delta_cut)) => prop_assert_eq!(base_cut, delta_cut),
             // The interned path completing where the estimate cut gave up is
@@ -195,15 +203,14 @@ proptest! {
         );
         prop_assert!(stats.rounds > 0, "the projection must report its rounds");
         prop_assert_eq!(stats.interned_implicants, 0, "the projection interns nothing");
-        // And against the preserved PR 5 Boolean full-sweep path: identical
-        // answer, strictly no-skip accounting on the anchor, and the
-        // worklist never evaluating more equations than the full sweeps.
-        let (anchor, anchor_stats) =
-            evaluate_condition_at_full_sweep_stats(&graph, &atom_true, &budget);
+        // And against the Boolean full-sweep reference: identical answer,
+        // strictly no-skip accounting on the reference, and the worklist
+        // never evaluating more equations than the full sweeps.
+        let (anchor, anchor_stats) = evaluate_full_sweep(&graph, &atom_true, &budget);
         prop_assert_eq!(
             answer,
-            anchor.expect("the anchor has the same (absent) trip conditions"),
-            "Boolean worklist disagrees with the PR 5 full-sweep anchor"
+            anchor.expect("the reference has the same (absent) trip conditions"),
+            "Boolean worklist disagrees with the full-sweep reference"
         );
         prop_assert_eq!(anchor_stats.equations_skipped, 0);
         prop_assert!(stats.equations_evaluated <= anchor_stats.equations_evaluated);
@@ -241,11 +248,11 @@ fn converged_components_are_skipped_on_ladder3() {
     let graph = graph_of(&formula, &budget).expect("ladder3 builds under the default budget");
     let (delta, delta_stats) =
         condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
-    let (full, full_stats) =
-        condition_of_graph_full_sweep_stats(graph.clone(), &budget, Parallelism::Off);
+    let full = condition_full_sweep(&graph, &budget);
+    let full_stats = full.store.stats();
     assert_eq!(
         delta.expect("ladder3 fits the default budget").dnf(),
-        full.expect("ladder3 fits the default budget").dnf(),
+        &full.condition.expect("ladder3 fits the default budget"),
     );
     assert!(
         delta_stats.equations_skipped > 0,
@@ -267,13 +274,101 @@ fn converged_components_are_skipped_on_ladder3() {
         eval_stats.equations_skipped > 0,
         "the Boolean worklist must skip on ladder3 too, got {eval_stats:?}"
     );
-    let (anchor, anchor_stats) =
-        evaluate_condition_at_full_sweep_stats(&graph, &atom_true, &budget);
-    assert_eq!(answer.unwrap(), anchor.unwrap(), "Boolean worklist vs PR 5 anchor on ladder3");
+    let (anchor, anchor_stats) = evaluate_full_sweep(&graph, &atom_true, &budget);
+    assert_eq!(answer.unwrap(), anchor.unwrap(), "Boolean worklist vs full-sweep reference");
     assert!(
         eval_stats.equations_evaluated < anchor_stats.equations_evaluated,
-        "the Boolean worklist must evaluate strictly less than the PR 5 sweeps ({} vs {})",
+        "the Boolean worklist must evaluate strictly less than the full sweeps ({} vs {})",
         eval_stats.equations_evaluated,
         anchor_stats.equations_evaluated,
     );
+}
+
+/// `~[ => r ] <>q` as the interval translation produces it: `q` never
+/// holds up to (and at) the second `r`-to-`¬r` change.  Its condition trips
+/// the default implicant cap.
+fn not_eventually_within_next_r() -> Ltl {
+    let (q, r) = (Ltl::prop("q"), Ltl::prop("r"));
+    let at_r = q.clone().not().and(r.clone());
+    let off_r = q.not().and(r.not());
+    let next = off_r.clone().and(off_r.until(at_r.clone()).and(at_r.clone().eventually()));
+    at_r.until(next.clone()).and(next.eventually())
+}
+
+/// The references reproduce, to the counter, what the full-sweep condition
+/// fixpoint and its Boolean projection returned while they were still
+/// library functions (measured on that build at `Parallelism::Off` under the
+/// default budget): the condition or trip reason, the full `StoreStats`
+/// (`memo_hits` included) and the outer rounds; the Boolean answer and its
+/// counters at the all-false and a seeded assignment.
+#[test]
+fn references_keep_their_measured_outputs() {
+    let stats = |implicants, dnfs, hits, misses, width, rounds, evaluated, skipped| StoreStats {
+        interned_implicants: implicants,
+        interned_dnfs: dnfs,
+        memo_hits: hits,
+        memo_misses: misses,
+        peak_dnf_width: width,
+        rounds,
+        equations_evaluated: evaluated,
+        equations_skipped: skipped,
+    };
+    let table = patterns::appendix_b_table();
+    let pattern =
+        |name: &str| table.iter().find(|(n, _)| *n == name).expect("named pattern").1.clone();
+    let budget = ResourceBudget::default();
+    let conditions = [
+        (
+            "R3",
+            pattern("R3"),
+            (14, 157),
+            Ok(Dnf::top()),
+            stats(165, 170, 20, 16, 2, 27, 138, 0),
+            Some(10),
+        ),
+        (
+            "ladder3",
+            patterns::response_ladder(3),
+            (8, 80),
+            Ok(Dnf::top()),
+            stats(380, 376, 257, 333, 24, 26, 132, 0),
+            Some(8),
+        ),
+        (
+            "~[ => r ] <>q",
+            not_eventually_within_next_r(),
+            (13, 195),
+            Err(Exhaustion::Implicants),
+            stats(10_000, 1_085, 4_184, 1_164, 3_434, 73, 194, 0),
+            // A trip returned no `Condition`, so the library never exposed
+            // the outer rounds it had reached.
+            None,
+        ),
+    ];
+    for (label, formula, shape, condition, expected, outer_rounds) in conditions {
+        let graph = graph_of(&formula, &budget).expect("the pinned graphs build");
+        assert_eq!((graph.node_count(), graph.edge_count()), shape, "{label}: tableau shape");
+        let run = condition_full_sweep(&graph, &budget);
+        assert_eq!(run.condition, condition, "{label}: condition");
+        assert_eq!(run.store.stats(), expected, "{label}: store stats");
+        if let Some(outer_rounds) = outer_rounds {
+            assert_eq!(run.outer_rounds, outer_rounds, "{label}: outer rounds");
+        }
+    }
+    // Seeded assignments as the proptests build them: edge `e` is true iff
+    // bit `e % 64` of the seed is set (seed 0 is the all-false assignment).
+    let evaluations = [
+        ("R3", 0u64, (26, 132)),
+        ("R3", 0x9e37_79b9_7f4a_7c15, (26, 132)),
+        ("R4", 0, (31, 150)),
+        ("R4", 0x9e37_79b9_7f4a_7c15, (30, 144)),
+    ];
+    for (label, seed, (rounds, evaluated)) in evaluations {
+        let graph = graph_of(&pattern(label), &budget).expect("the pinned graphs build");
+        let atom_true: Vec<bool> =
+            (0..graph.edge_count()).map(|e| (seed >> (e % 64)) & 1 == 1).collect();
+        let (answer, got) = evaluate_full_sweep(&graph, &atom_true, &budget);
+        assert_eq!(answer, Ok(true), "{label} at {seed:#x}: answer");
+        assert_eq!(got, stats(0, 0, 0, 0, 0, rounds, evaluated, 0), "{label} at {seed:#x}: stats");
+    }
 }
